@@ -51,23 +51,22 @@ func main() {
 	log.SetPrefix("oarsmt-serve: ")
 
 	var (
-		addr        = flag.String("addr", ":8931", "listen address")
-		coordMode   = flag.Bool("coordinator", false, "run the cluster coordinator instead of a worker")
-		modelPath   = flag.String("model", "", "trained selector model (default: embedded)")
-		queueSize   = flag.Int("queue", 64, "job queue capacity (overflow returns 429)")
-		maxBatch    = flag.Int("batch", 8, "max layouts per scheduler batch")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "how long a batch waits for more requests")
-		cacheSize   = flag.Int("cache", 256, "routed-layout LRU capacity (negative disables)")
-		storeDir    = flag.String("store-dir", "", "persistent route store directory (empty disables; restarts serve previously-routed layouts warm)")
-		storeMax    = flag.Int("store-entries", 4096, "persistent route store live-record bound")
-		storeFlush  = flag.Int("store-flush", 0, "routes per background store segment write (0 = store default)")
-		maxVolume   = flag.Int("max-volume", 1<<20, "max Hanan-graph vertices per layout")
-		timeout     = flag.Duration("timeout", 60*time.Second, "default per-request deadline (0 = none)")
-		seq         = flag.Bool("sequential", false, "sequential (n-2 inference) selection mode")
-		noGuard     = flag.Bool("no-guard", false, "disable guarded acceptance")
-		f32         = flag.Bool("f32", false, "float32 inference storage (faster, last-bit off the float64 reference)")
-		drainWait   = flag.Duration("drain", 30*time.Second, "max graceful-shutdown wait")
-		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
+		addr       = flag.String("addr", ":8931", "listen address")
+		coordMode  = flag.Bool("coordinator", false, "run the cluster coordinator instead of a worker")
+		modelPath  = flag.String("model", "", "trained selector model (default: embedded)")
+		queueSize  = flag.Int("queue", 64, "job queue capacity (overflow returns 429)")
+		maxBatch   = flag.Int("batch", 8, "max already-queued layouts one scheduler lane takes per pass")
+		cacheSize  = flag.Int("cache", 256, "routed-layout LRU capacity (negative disables)")
+		storeDir   = flag.String("store-dir", "", "persistent route store directory (empty disables; restarts serve previously-routed layouts warm)")
+		storeMax   = flag.Int("store-entries", 4096, "persistent route store live-record bound")
+		storeFlush = flag.Int("store-flush", 0, "routes per background store segment write (0 = store default)")
+		maxVolume  = flag.Int("max-volume", 1<<20, "max Hanan-graph vertices per layout")
+		timeout    = flag.Duration("timeout", 60*time.Second, "default per-request deadline (0 = none)")
+		seq        = flag.Bool("sequential", false, "sequential (n-2 inference) selection mode")
+		noGuard    = flag.Bool("no-guard", false, "disable guarded acceptance")
+		f32        = flag.Bool("f32", false, "float32 inference storage (faster, last-bit off the float64 reference)")
+		drainWait  = flag.Duration("drain", 30*time.Second, "max graceful-shutdown wait")
+		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
 		// Worker-mode cluster membership.
 		register  = flag.String("register", "", "coordinator base URL to join (empty: standalone worker)")
@@ -128,7 +127,6 @@ func main() {
 			Selector:            sel,
 			QueueSize:           *queueSize,
 			MaxBatch:            *maxBatch,
-			BatchWindow:         *batchWindow,
 			CacheSize:           *cacheSize,
 			StoreDir:            *storeDir,
 			StoreMaxEntries:     *storeMax,

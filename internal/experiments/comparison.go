@@ -195,33 +195,14 @@ func RunComparison(opts Options) ([]SubsetEval, error) {
 }
 
 // forEachParallel runs fn over [0, n) sharded across the shared worker
-// pool (capped at `workers`), giving each shard a private router pair (the
-// selector is cloned because network instances cache activations and must
-// not be shared across goroutines). The serial path avoids the copy.
-// Per-index results are identical at any worker count; the first error in
-// shard order is returned.
+// pool (capped at `workers`), giving each shard a private router pair over
+// the one shared selector (its inference is goroutine-safe). Per-index
+// results are identical at any worker count; the first error in shard
+// order is returned.
 func forEachParallel(n, workers int, sel *selector.Selector, fn func(*core.Router, *baseline.Router, int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		ours := core.NewRouter(sel)
-		lin18 := baseline.New(baseline.Lin18)
-		for i := 0; i < n; i++ {
-			if err := fn(ours, lin18, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, workers)
+	errs := make([]error, max(workers, 1))
 	parallel.ForWith(workers, n, func(shard, lo, hi int) {
-		priv, err := sel.Clone()
-		if err != nil {
-			errs[shard] = err
-			return
-		}
-		ours := core.NewRouter(priv)
+		ours := core.NewRouter(sel)
 		lin18 := baseline.New(baseline.Lin18)
 		for i := lo; i < hi; i++ {
 			if err := fn(ours, lin18, i); err != nil {

@@ -51,22 +51,30 @@ func NewGroupNorm(name string, c, groups int) *GroupNorm {
 }
 
 // Forward implements Layer.
-func (g *GroupNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (g *GroupNorm) Forward(x *tensor.Tensor) *tensor.Tensor { return g.forward(g.ar, x, true) }
+
+// forward normalises x into an activation from a. With record set it keeps
+// the input and the per-group statistics for Backward; without, it only
+// reads the layer.
+func (g *GroupNorm) forward(a *tensor.Arena, x *tensor.Tensor, record bool) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(0) != g.C {
 		panic(fmt.Sprintf("nn: GroupNorm input shape %v, want [%d,H,V,M]", x.Shape, g.C))
 	}
-	g.lastX = x
 	spatial := x.Dim(1) * x.Dim(2) * x.Dim(3)
 	chPerGroup := g.C / g.Groups
-	g.lastN = chPerGroup * spatial
-	if cap(g.lastMu) < g.Groups {
-		g.lastMu = make([]float64, g.Groups)
-		g.lastStd = make([]float64, g.Groups)
+	n := chPerGroup * spatial
+	if record {
+		g.lastX = x
+		g.lastN = n
+		if cap(g.lastMu) < g.Groups {
+			g.lastMu = make([]float64, g.Groups)
+			g.lastStd = make([]float64, g.Groups)
+		}
+		g.lastMu = g.lastMu[:g.Groups]
+		g.lastStd = g.lastStd[:g.Groups]
 	}
-	g.lastMu = g.lastMu[:g.Groups]
-	g.lastStd = g.lastStd[:g.Groups]
 
-	out := g.ar.New(x.Shape...)
+	out := a.New(x.Shape...)
 	g.forGroups(x.Len(), func(grp int) {
 		lo := grp * chPerGroup * spatial
 		hi := lo + chPerGroup*spatial
@@ -74,15 +82,17 @@ func (g *GroupNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 		for i := lo; i < hi; i++ {
 			mu += x.Data[i]
 		}
-		mu /= float64(g.lastN)
+		mu /= float64(n)
 		varSum := 0.0
 		for i := lo; i < hi; i++ {
 			d := x.Data[i] - mu
 			varSum += d * d
 		}
-		std := math.Sqrt(varSum/float64(g.lastN) + g.Eps)
-		g.lastMu[grp] = mu
-		g.lastStd[grp] = std
+		std := math.Sqrt(varSum/float64(n) + g.Eps)
+		if record {
+			g.lastMu[grp] = mu
+			g.lastStd[grp] = std
+		}
 		for c := grp * chPerGroup; c < (grp+1)*chPerGroup; c++ {
 			ga, be := g.gamma.W.Data[c], g.beta.W.Data[c]
 			base := c * spatial
@@ -163,19 +173,17 @@ func (g *GroupNorm) precompute32() {
 // forward32 is the inference-only float32 forward pass. The group mean and
 // variance accumulate in float64 — a float32 running sum over thousands of
 // elements loses enough precision to move the normalisation visibly — and
-// only the final per-element scale runs in float32.
-func (g *GroupNorm) forward32(x *tensor.T32) *tensor.T32 {
+// only the final per-element scale runs in float32. precompute32 must have
+// run.
+func (g *GroupNorm) forward32(a *tensor.Arena, x *tensor.T32) *tensor.T32 {
 	if x.Rank() != 4 || x.Dim(0) != g.C {
 		panic(fmt.Sprintf("nn: GroupNorm input shape %v, want [%d,H,V,M]", x.Shape, g.C))
-	}
-	if g.gamma32 == nil {
-		g.precompute32()
 	}
 	spatial := x.Dim(1) * x.Dim(2) * x.Dim(3)
 	chPerGroup := g.C / g.Groups
 	n := float64(chPerGroup * spatial)
 
-	out := g.ar.New32(x.Shape...)
+	out := a.New32(x.Shape...)
 	g.forGroups(x.Len(), func(grp int) {
 		lo := grp * chPerGroup * spatial
 		hi := lo + chPerGroup*spatial

@@ -78,9 +78,15 @@ func NewConv3D(r *rand.Rand, name string, inC, outC, k int) *Conv3D {
 }
 
 // Forward implements Layer.
-func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	c.lastX = x
-	return tensor.Conv3DIn(c.ar, x, c.weight.W, c.bias.W)
+func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor { return c.forward(c.ar, x, true) }
+
+// forward convolves x into an activation from a, recording the input for
+// Backward only when record is set; unrecorded passes only read the layer.
+func (c *Conv3D) forward(a *tensor.Arena, x *tensor.Tensor, record bool) *tensor.Tensor {
+	if record {
+		c.lastX = x
+	}
+	return tensor.Conv3DIn(a, x, c.weight.W, c.bias.W)
 }
 
 // Backward implements Layer.
@@ -104,12 +110,10 @@ func (c *Conv3D) precompute32() {
 	c.b32 = tensor.Convert32(c.bias.W)
 }
 
-// forward32 is the inference-only float32 forward pass.
-func (c *Conv3D) forward32(x *tensor.T32) *tensor.T32 {
-	if c.w32 == nil {
-		c.precompute32()
-	}
-	return tensor.Conv3D32(c.ar, x, c.w32, c.b32)
+// forward32 is the inference-only float32 forward pass; precompute32 must
+// have run.
+func (c *Conv3D) forward32(a *tensor.Arena, x *tensor.T32) *tensor.T32 {
+	return tensor.Conv3D32(a, x, c.w32, c.b32)
 }
 
 // ReLU is the rectified-linear activation.
@@ -119,9 +123,14 @@ type ReLU struct {
 }
 
 // Forward implements Layer.
-func (l *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	l.lastX = x
-	out := l.ar.New(x.Shape...)
+func (l *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor { return l.forward(l.ar, x, true) }
+
+// forward is Forward on an activation from a, recording only when asked.
+func (l *ReLU) forward(a *tensor.Arena, x *tensor.Tensor, record bool) *tensor.Tensor {
+	if record {
+		l.lastX = x
+	}
+	out := a.New(x.Shape...)
 	for i, v := range x.Data {
 		if v > 0 {
 			out.Data[i] = v
@@ -162,7 +171,7 @@ func relu32In(a *tensor.Arena, x *tensor.T32) *tensor.T32 {
 type ResBlock struct {
 	conv1, conv2 *Conv3D
 	relu1        ReLU
-	lastSum      *tensor.Tensor
+	lastOut      *tensor.Tensor
 	ar           *tensor.Arena
 }
 
@@ -175,27 +184,30 @@ func NewResBlock(r *rand.Rand, name string, c, k int) *ResBlock {
 }
 
 // Forward implements Layer.
-func (b *ResBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
-	y := b.conv2.Forward(b.relu1.Forward(b.conv1.Forward(x)))
-	sum := b.ar.New(x.Shape...)
+func (b *ResBlock) Forward(x *tensor.Tensor) *tensor.Tensor { return b.forward(b.ar, x, true) }
+
+// forward is Forward on activations from a, recording only when asked. The
+// sum+ReLU tail is fused into one loop.
+func (b *ResBlock) forward(a *tensor.Arena, x *tensor.Tensor, record bool) *tensor.Tensor {
+	y := b.conv2.forward(a, b.relu1.forward(a, b.conv1.forward(a, x, record), record), record)
+	out := a.New(x.Shape...)
 	for i, v := range x.Data {
-		sum.Data[i] = v + y.Data[i]
-	}
-	b.lastSum = sum
-	out := b.ar.New(sum.Shape...)
-	for i, v := range sum.Data {
-		if v > 0 {
-			out.Data[i] = v
+		if s := v + y.Data[i]; s > 0 {
+			out.Data[i] = s
 		}
+	}
+	if record {
+		b.lastOut = out
 	}
 	return out
 }
 
 // Backward implements Layer.
 func (b *ResBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	// Through the final ReLU.
+	// Through the final ReLU: the output is positive exactly where the
+	// pre-activation sum was.
 	gSum := b.ar.New(grad.Shape...)
-	for i, v := range b.lastSum.Data {
+	for i, v := range b.lastOut.Data {
 		if v > 0 {
 			gSum.Data[i] = grad.Data[i]
 		}
@@ -221,9 +233,9 @@ func (b *ResBlock) setArena(a *tensor.Arena) {
 
 // forward32 is the inference-only float32 forward pass; the sum+ReLU tail
 // is fused into one loop.
-func (b *ResBlock) forward32(x *tensor.T32) *tensor.T32 {
-	y := b.conv2.forward32(relu32In(b.ar, b.conv1.forward32(x)))
-	out := b.ar.New32(x.Shape...)
+func (b *ResBlock) forward32(a *tensor.Arena, x *tensor.T32) *tensor.T32 {
+	y := b.conv2.forward32(a, relu32In(a, b.conv1.forward32(a, x)))
+	out := a.New32(x.Shape...)
 	for i, v := range x.Data {
 		if s := v + y.Data[i]; s > 0 {
 			out.Data[i] = s

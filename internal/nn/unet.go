@@ -123,12 +123,13 @@ func NewUNet3D(r *rand.Rand, cfg UNetConfig) (*UNet3D, error) {
 }
 
 // SetArena attaches a bump arena that provides every activation and
-// gradient buffer of the network. The network owns the reuse boundary:
-// Forward (and Forward32) reset the arena at entry, which recycles the
-// previous pass's activations and gradients — safe because training always
+// gradient buffer of the training pass. The network owns the reuse
+// boundary: Forward resets the arena at entry, which recycles the previous
+// pass's activations and gradients — safe because training always
 // completes Backward before the next Forward. Callers must copy any
-// network output they keep across passes. A network with an arena is
-// single-goroutine, which Layer already requires.
+// network output they keep across passes. Forward/Backward are
+// single-goroutine, which Layer already requires; Infer and Forward32 take
+// their arena per call and never touch this one.
 func (u *UNet3D) SetArena(a *tensor.Arena) {
 	u.arena = a
 	u.stem.setArena(a)
@@ -178,14 +179,6 @@ func (u *UNet3D) Precompute32() {
 	}
 }
 
-// applyNorm runs the i-th GroupNorm when normalisation is enabled.
-func (u *UNet3D) applyNorm(i int, x *tensor.Tensor) *tensor.Tensor {
-	if u.norms == nil {
-		return x
-	}
-	return u.norms[i].Forward(x)
-}
-
 // backNorm runs the i-th GroupNorm backward when enabled.
 func (u *UNet3D) backNorm(i int, g *tensor.Tensor) *tensor.Tensor {
 	if u.norms == nil {
@@ -194,77 +187,100 @@ func (u *UNet3D) backNorm(i int, g *tensor.Tensor) *tensor.Tensor {
 	return u.norms[i].Backward(g)
 }
 
-// Forward maps a [InChannels, H, V, M] input to [H, V, M] logits.
-func (u *UNet3D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != 4 || x.Dim(0) != u.Config.InChannels {
-		panic(fmt.Sprintf("nn: UNet input shape %v, want [%d,H,V,M]", x.Shape, u.Config.InChannels))
+// checkInput panics unless shape is [InChannels, H, V, M].
+func (u *UNet3D) checkInput(shape []int) {
+	if len(shape) != 4 || shape[0] != u.Config.InChannels {
+		panic(fmt.Sprintf("nn: UNet input shape %v, want [%d,H,V,M]", shape, u.Config.InChannels))
 	}
+}
+
+// Forward maps a [InChannels, H, V, M] input to [H, V, M] logits,
+// recording the state Backward needs. It resets the attached arena at
+// entry; this is the training pass.
+func (u *UNet3D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	u.arena.Reset()
-	relu := 0
-	depth := u.Config.Depth
 	u.encInShapes = u.encInShapes[:0]
 	u.skipChans = u.skipChans[:0]
+	return u.forward(u.arena, x, true)
+}
+
+// Infer is the stateless inference pass: bit-identical to Forward, with
+// every activation allocated from a and nothing recorded for Backward.
+// It only reads the network, so any number of goroutines may run Infer on
+// one network at once, each with its own arena. The caller owns a and its
+// reset boundary; the returned logits live in a.
+func (u *UNet3D) Infer(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	return u.forward(a, x, false)
+}
+
+// forward is the one float64 walk of the U shared by Forward and Infer.
+// Every level repeats one stage — conv, optional GroupNorm, ReLU, residual
+// block — whose ReLU/norm index runs stem, encoder levels 1..Depth, then
+// decoder levels Depth-1..0.
+func (u *UNet3D) forward(a *tensor.Arena, x *tensor.Tensor, record bool) *tensor.Tensor {
+	u.checkInput(x.Shape)
+	stage := func(i int, conv *Conv3D, res *ResBlock, x *tensor.Tensor) *tensor.Tensor {
+		y := conv.forward(a, x, record)
+		if u.norms != nil {
+			y = u.norms[i].forward(a, y, record)
+		}
+		return res.forward(a, u.relus[i].forward(a, y, record), record)
+	}
+	depth := u.Config.Depth
 
 	// Encoder.
 	skips := make([]*tensor.Tensor, 0, depth)
-	cur := u.encRes[0].Forward(u.relus[relu].Forward(u.applyNorm(relu, u.stem.Forward(x))))
-	relu++
+	cur := stage(0, u.stem, u.encRes[0], x)
 	for l := 1; l <= depth; l++ {
 		skips = append(skips, cur)
-		u.encInShapes = append(u.encInShapes, append([]int(nil), cur.Shape...))
-		pooled := tensor.AvgPool2In(u.arena, cur)
-		cur = u.encRes[l].Forward(u.relus[relu].Forward(u.applyNorm(relu, u.encConv[l-1].Forward(pooled))))
-		relu++
+		if record {
+			u.encInShapes = append(u.encInShapes, append([]int(nil), cur.Shape...))
+		}
+		cur = stage(l, u.encConv[l-1], u.encRes[l], tensor.AvgPool2In(a, cur))
 	}
 
 	// Decoder.
 	for i := 0; i < depth; i++ {
 		skip := skips[depth-1-i]
-		up := tensor.UpsampleNearestIn(u.arena, cur, skip.Dim(1), skip.Dim(2), skip.Dim(3))
-		u.skipChans = append(u.skipChans, up.Dim(0))
-		cat := tensor.ConcatCIn(u.arena, up, skip)
-		cur = u.decRes[i].Forward(u.relus[relu].Forward(u.applyNorm(relu, u.decConv[i].Forward(cat))))
-		relu++
+		up := tensor.UpsampleNearestIn(a, cur, skip.Dim(1), skip.Dim(2), skip.Dim(3))
+		if record {
+			u.skipChans = append(u.skipChans, up.Dim(0))
+		}
+		cur = stage(depth+1+i, u.decConv[i], u.decRes[i], tensor.ConcatCIn(a, up, skip))
 	}
 
-	out := u.head.Forward(cur)
+	out := u.head.forward(a, cur, record)
 	return out.Reshape(out.Dim(1), out.Dim(2), out.Dim(3))
 }
 
-// Forward32 is the float32 inference-mode forward pass: same structure as
-// Forward, float32 storage end to end, no state recorded for Backward.
-// Call Precompute32 (or selector.EnableFloat32) first on a frozen network.
-func (u *UNet3D) Forward32(x *tensor.T32) *tensor.T32 {
-	if x.Rank() != 4 || x.Dim(0) != u.Config.InChannels {
-		panic(fmt.Sprintf("nn: UNet input shape %v, want [%d,H,V,M]", x.Shape, u.Config.InChannels))
-	}
-	u.arena.Reset()
-	norm32 := func(i int, t *tensor.T32) *tensor.T32 {
-		if u.norms == nil {
-			return t
+// Forward32 is the float32 inference-mode forward pass: the walk of Infer
+// with float32 storage end to end, activations allocated from a and no
+// state recorded. Like Infer it is safe for concurrent use with one arena
+// per goroutine. Call Precompute32 (or selector.EnableFloat32) first on a
+// frozen network.
+func (u *UNet3D) Forward32(a *tensor.Arena, x *tensor.T32) *tensor.T32 {
+	u.checkInput(x.Shape)
+	stage := func(i int, conv *Conv3D, res *ResBlock, x *tensor.T32) *tensor.T32 {
+		y := conv.forward32(a, x)
+		if u.norms != nil {
+			y = u.norms[i].forward32(a, y)
 		}
-		return u.norms[i].forward32(t)
+		return res.forward32(a, relu32In(a, y))
 	}
-	relu := 0
 	depth := u.Config.Depth
 
 	skips := make([]*tensor.T32, 0, depth)
-	cur := u.encRes[0].forward32(relu32In(u.arena, norm32(relu, u.stem.forward32(x))))
-	relu++
+	cur := stage(0, u.stem, u.encRes[0], x)
 	for l := 1; l <= depth; l++ {
 		skips = append(skips, cur)
-		pooled := tensor.AvgPool232(u.arena, cur)
-		cur = u.encRes[l].forward32(relu32In(u.arena, norm32(relu, u.encConv[l-1].forward32(pooled))))
-		relu++
+		cur = stage(l, u.encConv[l-1], u.encRes[l], tensor.AvgPool232(a, cur))
 	}
 	for i := 0; i < depth; i++ {
 		skip := skips[depth-1-i]
-		up := tensor.UpsampleNearest32(u.arena, cur, skip.Dim(1), skip.Dim(2), skip.Dim(3))
-		cat := tensor.ConcatC32(u.arena, up, skip)
-		cur = u.decRes[i].forward32(relu32In(u.arena, norm32(relu, u.decConv[i].forward32(cat))))
-		relu++
+		up := tensor.UpsampleNearest32(a, cur, skip.Dim(1), skip.Dim(2), skip.Dim(3))
+		cur = stage(depth+1+i, u.decConv[i], u.decRes[i], tensor.ConcatC32(a, up, skip))
 	}
-	out := u.head.forward32(cur)
+	out := u.head.forward32(a, cur)
 	return out.Reshape(out.Dim(1), out.Dim(2), out.Dim(3))
 }
 

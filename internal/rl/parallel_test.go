@@ -9,8 +9,8 @@ import (
 
 // TestGenerateSamplesBitEqualAcrossWorkerCounts verifies that the parallel
 // episode loop produces the same samples and stage statistics as the serial
-// one: layouts are generated serially (fixed RNG order), each worker
-// searches on a bit-exact selector clone, and results fold in layout order.
+// one: layouts are generated serially (fixed RNG order), every worker
+// searches with the one shared selector, and results fold in layout order.
 func TestGenerateSamplesBitEqualAcrossWorkerCounts(t *testing.T) {
 	prevW := parallel.Workers()
 	defer parallel.SetWorkers(prevW)

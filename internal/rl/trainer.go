@@ -160,8 +160,9 @@ func (t *Trainer) stagePins() (lo, hi int, useCritic bool) {
 // GenerateSamples produces the training samples of one stage without
 // updating the selector; exported for the sample-generation benchmarks.
 //
-// The independent MCTS episodes run across the parallel worker pool, each
-// worker searching on a private clone of the current selector. Layout
+// The independent MCTS episodes run across the parallel worker pool, all
+// searching with the one current selector (its inference is
+// goroutine-safe). Layout
 // generation stays serial so the trainer's RNG is consumed in a fixed
 // order, and the episode results are folded in layout order, so samples
 // and statistics are identical at every worker count.
@@ -192,35 +193,20 @@ func (t *Trainer) GenerateSamplesCtx(ctx context.Context) ([]mcts.Sample, StageS
 	}
 
 	results := make([]*mcts.Result, len(ins))
-	if w := parallel.Workers(); w > 1 && len(ins) > 1 {
-		errs := make([]error, w)
-		parallel.For(len(ins), func(shard, lo, hi int) {
-			priv, err := t.Selector.Clone()
+	errs := make([]error, parallel.Workers())
+	parallel.For(len(ins), func(shard, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			res, err := mcts.SearchCtx(ctx, t.Selector, ins[i], cfg)
 			if err != nil {
 				errs[shard] = err
 				return
 			}
-			for i := lo; i < hi; i++ {
-				res, err := mcts.SearchCtx(ctx, priv, ins[i], cfg)
-				if err != nil {
-					errs[shard] = err
-					return
-				}
-				results[i] = res
-			}
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, stats, fmt.Errorf("rl: stage %d: %w", t.stage+1, err)
-			}
-		}
-	} else {
-		for i, in := range ins {
-			res, err := mcts.SearchCtx(ctx, t.Selector, in, cfg)
-			if err != nil {
-				return nil, stats, fmt.Errorf("rl: stage %d: %w", t.stage+1, err)
-			}
 			results[i] = res
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, stats, fmt.Errorf("rl: stage %d: %w", t.stage+1, err)
 		}
 	}
 

@@ -7,14 +7,16 @@
 package selector
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"oarsmt/internal/errs"
 	"oarsmt/internal/grid"
@@ -26,10 +28,12 @@ import (
 // pin, obstacle, right/left/up/down edge cost, via cost (paper Fig 3).
 const NumFeatures = 7
 
-// Selector wraps the U-Net agent. A selector is single-goroutine: its
-// network caches activations (and, via the attached tensor.Arena, reuses
-// their storage) between calls. Parallel episode loops give every worker
-// its own Clone.
+// Selector wraps the U-Net agent. Inference — Logits, FSP,
+// SelectSteinerPoints, PolicySoftmax — only reads the shared weights and
+// takes its scratch from a process-wide free list of arenas, so any number
+// of goroutines may infer through one selector at once. Training goes
+// through Net directly (Forward/Backward record state in the network) and
+// must not overlap inference on the same selector.
 type Selector struct {
 	Net *nn.UNet3D
 
@@ -37,25 +41,53 @@ type Selector struct {
 	// (EnableFloat32); training entry points keep using Net directly and
 	// stay float64.
 	useF32 bool
-	// encBuf/encBuf32 are the reused feature-volume buffers; separate
-	// from the arena because Net.Forward resets the arena at entry, which
-	// must not recycle its own input.
-	encBuf   []float64
-	encBuf32 []float32
 }
 
-// newSelector wraps a network and attaches a fresh activation arena: one
-// warmed-up inference performs near-zero heap allocations.
+// arenas is the process-wide free list of inference scratch arenas. A
+// warmed arena makes one inference near allocation-free; keeping at most
+// GOMAXPROCS idle ones bounds the retained memory to what the cores can use
+// at once. A sync.Pool would drop the warmed arenas at every GC.
+var arenas struct {
+	mu   sync.Mutex
+	idle []*tensor.Arena
+}
+
+// getArena takes an idle arena from the free list, or a new one.
+func getArena() *tensor.Arena {
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	n := len(arenas.idle)
+	if n == 0 {
+		return tensor.NewArena()
+	}
+	a := arenas.idle[n-1]
+	arenas.idle = arenas.idle[:n-1]
+	return a
+}
+
+// putArena resets a and returns it to the free list; beyond GOMAXPROCS
+// idle arenas it is left to the garbage collector.
+func putArena(a *tensor.Arena) {
+	a.Reset()
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	if len(arenas.idle) < runtime.GOMAXPROCS(0) {
+		arenas.idle = append(arenas.idle, a)
+	}
+}
+
+// newSelector wraps a network and attaches a fresh training arena: one
+// warmed-up training pass performs near-zero heap allocations.
 func newSelector(net *nn.UNet3D) *Selector {
 	net.SetArena(tensor.NewArena())
 	return &Selector{Net: net}
 }
 
-// New wraps an existing network, attaching an activation arena to it: the
-// network's Forward outputs become valid only until its next forward
-// pass. Training through Net remains correct — every backward completes
-// before the next forward — but callers keeping raw Net.Forward outputs
-// across passes must copy them.
+// New wraps an existing network, attaching a training arena to it: the
+// network's Forward outputs become valid only until its next Forward.
+// Training through Net remains correct — every backward completes before
+// the next forward — but callers keeping raw Net.Forward outputs across
+// passes must copy them.
 func New(net *nn.UNet3D) *Selector { return newSelector(net) }
 
 // NewRandom creates a selector with freshly initialised weights.
@@ -77,8 +109,9 @@ func NewRandom(r *rand.Rand, cfg nn.UNetConfig) (*Selector, error) {
 // from float64 in the last bits — validated against float64 within
 // tolerance by the package tests — so routing outcomes may differ on
 // near-ties; the float64 path stays the deterministic reference. Enable
-// only on frozen inference selectors: training a float32-enabled selector
-// leaves the converted weights stale.
+// only on frozen inference selectors, before sharing them across
+// goroutines: training a float32-enabled selector leaves the converted
+// weights stale.
 func (s *Selector) EnableFloat32() {
 	s.Net.Precompute32()
 	s.useF32 = true
@@ -150,41 +183,24 @@ func encodeInto(data []float64, g *grid.Graph, pins []grid.VertexID) {
 	}
 }
 
-// encode builds the feature volume into the selector's persistent scratch
-// buffer. The returned tensor aliases s.encBuf and is valid until the next
-// encode call.
-func (s *Selector) encode(g *grid.Graph, pins []grid.VertexID) *tensor.Tensor {
-	n := NumFeatures * g.H * g.V * g.M
-	if cap(s.encBuf) < n {
-		s.encBuf = make([]float64, n)
-	}
-	buf := s.encBuf[:n]
-	clear(buf)
-	s.encBuf = buf
-	encodeInto(buf, g, pins)
-	return tensor.FromSlice(buf, NumFeatures, g.H, g.V, g.M)
-}
-
-// logits runs one inference and returns the network's raw logits buffer,
-// valid until the selector's next forward pass. The float32 mode converts
-// the result back to float64 so every consumer sees one element type.
-func (s *Selector) logits(g *grid.Graph, pins []grid.VertexID) []float64 {
-	x := s.encode(g, pins)
+// logits runs one inference with all scratch — the feature volume and
+// every activation — taken from a, and returns the raw logits, valid until
+// a is reset. The float32 mode converts the result back to float64 so
+// every consumer sees one element type.
+func (s *Selector) logits(a *tensor.Arena, g *grid.Graph, pins []grid.VertexID) []float64 {
+	x := a.New(NumFeatures, g.H, g.V, g.M)
+	encodeInto(x.Data, g, pins)
 	if !s.useF32 {
-		return s.Net.Forward(x).Data
+		return s.Net.Infer(a, x).Data
 	}
-	if cap(s.encBuf32) < x.Len() {
-		s.encBuf32 = make([]float32, x.Len())
-	}
-	x32 := s.encBuf32[:x.Len()]
-	s.encBuf32 = x32
+	x32 := a.New32(x.Shape...)
 	for i, v := range x.Data {
-		x32[i] = float32(v)
+		x32.Data[i] = float32(v)
 	}
-	out32 := s.Net.Forward32(&tensor.T32{Shape: x.Shape, Data: x32})
-	// Reuse the float64 encode buffer for the widened logits: the forward
+	out32 := s.Net.Forward32(a, x32)
+	// Reuse the float64 feature volume for the widened logits: the forward
 	// pass is done with its input.
-	out := s.encBuf[:len(out32.Data)]
+	out := x.Data[:len(out32.Data)]
 	for i, v := range out32.Data {
 		out[i] = float64(v)
 	}
@@ -194,17 +210,18 @@ func (s *Selector) logits(g *grid.Graph, pins []grid.VertexID) []float64 {
 // Logits runs one network inference and returns the raw per-vertex logits
 // as a flat slice indexed by VertexID. The caller owns the returned slice.
 func (s *Selector) Logits(g *grid.Graph, pins []grid.VertexID) []float64 {
-	raw := s.logits(g, pins)
-	out := make([]float64, len(raw))
-	copy(out, raw)
-	return out
+	a := getArena()
+	defer putArena(a)
+	return slices.Clone(s.logits(a, g, pins))
 }
 
 // FSP runs one network inference and returns the final selected
 // probability of every vertex (sigmoid of the logits), indexed by
 // VertexID. This is the fsp(v) of paper Fig 5.
 func (s *Selector) FSP(g *grid.Graph, pins []grid.VertexID) []float64 {
-	logits := s.logits(g, pins)
+	a := getArena()
+	defer putArena(a)
+	logits := s.logits(a, g, pins)
 	out := make([]float64, len(logits))
 	for i, z := range logits {
 		out[i] = nn.Sigmoid(z)
@@ -300,8 +317,9 @@ func (s *Selector) SelectSteinerPoints(g *grid.Graph, pins []grid.VertexID) []gr
 // the AlphaGo-like and PPO baselines: a masked softmax of the logits over
 // the valid vertices.
 func (s *Selector) PolicySoftmax(g *grid.Graph, pins []grid.VertexID) []float64 {
-	logits := s.logits(g, pins)
-	return nn.MaskedSoftmax(logits, ValidMask(g, pins))
+	a := getArena()
+	defer putArena(a)
+	return nn.MaskedSoftmax(s.logits(a, g, pins), ValidMask(g, pins))
 }
 
 // Fingerprint returns the SHA-256 over the network's weights in canonical
@@ -339,25 +357,10 @@ func (s *Selector) Fingerprint() [sha256.Size]byte {
 // Save writes the selector's network to w.
 func (s *Selector) Save(w io.Writer) error { return s.Net.Save(w) }
 
-// Clone returns a private deep copy of the selector via its serialised
-// form. Network instances cache activations between Forward and Backward
-// and must never be shared across goroutines; the parallel episode loops
-// give every worker its own clone. Weights survive the gob round trip
-// bit-exactly, so a clone's inferences are identical to the original's.
-// The float32 inference mode is not part of the serialised form: clones
-// (and reloaded models) start in float64 mode and need their own
-// EnableFloat32 call.
-func (s *Selector) Clone() (*Selector, error) {
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		return nil, err
-	}
-	return Load(&buf)
-}
-
 // Load reads a selector saved with Save. Any invalid model file —
 // truncated, corrupt, wrong version, wrong channel count — yields an
-// error matching errs.ErrInvalidModel.
+// error matching errs.ErrInvalidModel. The float32 inference mode is not
+// part of the saved form: a loaded selector starts in float64 mode.
 func Load(r io.Reader) (*Selector, error) {
 	net, err := nn.LoadUNet3D(r)
 	if err != nil {

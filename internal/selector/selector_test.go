@@ -283,12 +283,16 @@ func TestFloat32LogitsCloseToFloat64(t *testing.T) {
 
 	ref := s.Logits(g, pins)
 
-	s32, err := s.Clone()
+	var saved bytes.Buffer
+	if err := s.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	s32, err := Load(&saved)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s32.Float32Enabled() {
-		t.Fatal("fresh clone reports float32 mode")
+		t.Fatal("freshly loaded selector reports float32 mode")
 	}
 	s32.EnableFloat32()
 	if !s32.Float32Enabled() {

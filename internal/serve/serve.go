@@ -4,14 +4,14 @@
 //
 // Requests enter a bounded job queue (backpressure: a full queue sheds
 // load with ErrQueueFull, which the HTTP layer maps to 429 + Retry-After).
-// A scheduler goroutine drains the queue, groups queued layouts into
-// same-size batches — the same-size grouping of internal/rl's Fig 9
-// training batches, reused here so one shared selector serves a whole
-// group with one inference per distinct layout — and fans the OARMST
-// constructions out on the internal/parallel worker pool. Results are
-// memoized in an LRU keyed by the augmentation-normalized canonical
-// layout hash, so any of the 16 symmetric orientations of a layout hits
-// the same entry. Per-request deadlines travel as context.Context through
+// GOMAXPROCS scheduler lanes drain the queue, each taking only what is
+// already queued, group the drained layouts by size — the same-size
+// grouping of internal/rl's Fig 9 training batches — and route every
+// distinct layout on the internal/parallel worker pool: one inference on
+// the shared selector (whose inference is goroutine-safe), then the OARMST
+// construction. Results are memoized in an LRU keyed by the
+// augmentation-normalized canonical layout hash, so any of the 16
+// symmetric orientations of a layout hits the same entry. Per-request deadlines travel as context.Context through
 // internal/core and internal/route, interrupting even long Dijkstra
 // expansions.
 //
@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -55,17 +56,15 @@ var (
 // Config parameterises a Service.
 type Config struct {
 	// Selector is the trained Steiner-point selector shared by every
-	// request. Required. The service owns it: selector inference caches
-	// activations and must stay on the scheduler goroutine.
+	// request. Required. Every scheduler lane infers through this one
+	// selector concurrently, so it must not be trained while the service
+	// runs; NewService switches it to float32 mode when Float32 is set.
 	Selector *selector.Selector
 	// QueueSize bounds the job queue; <= 0 means 64.
 	QueueSize int
-	// MaxBatch caps how many queued jobs one scheduler pass drains;
+	// MaxBatch caps how many already-queued jobs one lane pass drains;
 	// <= 0 means 8, 1 disables batching.
 	MaxBatch int
-	// BatchWindow is how long a draining pass waits for more queued jobs
-	// after the first; <= 0 means 2ms.
-	BatchWindow time.Duration
 	// CacheSize is the LRU capacity in routed layouts; 0 means 256,
 	// negative disables caching.
 	CacheSize int
@@ -115,8 +114,9 @@ type Config struct {
 	RetryBackoff    time.Duration
 	RetryBackoffMax time.Duration
 
-	// gate, when non-nil, is waited on before every scheduler pass; test
-	// hook for deterministically holding the queue full.
+	// gate, when non-nil, is waited on by every lane before each pass;
+	// test hook for deterministically holding the queue full. Tests only
+	// ever close it, which releases all lanes at once.
 	gate chan struct{}
 	// sleep is the retry backoff's clock, injectable so tests observe the
 	// schedule without wall-clock waits; nil means time.Sleep.
@@ -129,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 256
@@ -176,7 +173,8 @@ type job struct {
 	in       *layout.Instance
 	key      cacheKey
 	toCanon  grid.Aug
-	enqueued time.Time
+	enqueued time.Time // Submit entry: the start of the request's latency
+	queued   time.Time // queue push: the start of its serve.queue_wait
 
 	resp *Response
 	err  error
@@ -195,13 +193,13 @@ type Service struct {
 	mu     sync.RWMutex // serializes enqueue against Close
 	closed bool
 
-	done  chan struct{} // scheduler exited
+	lanes sync.WaitGroup // the running scheduler lanes
 	start time.Time
 	m     *metrics
 }
 
-// NewService starts a service (and its scheduler goroutine) over the
-// configuration.
+// NewService starts a service, and its GOMAXPROCS scheduler lanes, over
+// the configuration.
 func NewService(cfg Config) (*Service, error) {
 	if cfg.Selector == nil {
 		return nil, fmt.Errorf("%w: serve: Config.Selector is required", errs.ErrInvalidConfig)
@@ -223,7 +221,6 @@ func NewService(cfg Config) (*Service, error) {
 		cfg:    cfg,
 		router: r,
 		queue:  make(chan *job, cfg.QueueSize),
-		done:   make(chan struct{}),
 		start:  time.Now(),
 		m:      newMetrics(),
 	}
@@ -268,7 +265,15 @@ func NewService(cfg Config) (*Service, error) {
 		return float64(s.cache.len())
 	})
 	s.m.reg.GaugeFunc("serve.uptime_seconds", func() float64 { return time.Since(s.start).Seconds() })
-	go s.run()
+	lanes := runtime.GOMAXPROCS(0)
+	s.m.reg.GaugeFunc("serve.lanes", func() float64 { return float64(lanes) })
+	s.lanes.Add(lanes)
+	for range lanes {
+		go func() {
+			defer s.lanes.Done()
+			s.run()
+		}()
+	}
 	return s, nil
 }
 
@@ -285,7 +290,8 @@ func (s *Service) Closed() bool {
 
 // Close drains the service: new submissions are rejected with ErrClosed,
 // every already-queued job is still routed and answered, and Close
-// returns once the scheduler has exited. Safe to call more than once.
+// returns once every scheduler lane has exited. Safe to call more than
+// once.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if !s.closed {
@@ -293,9 +299,9 @@ func (s *Service) Close() {
 		close(s.queue)
 	}
 	s.mu.Unlock()
-	<-s.done
+	s.lanes.Wait()
 	if s.store != nil {
-		// The scheduler has exited, so no Put can race the final flush;
+		// The lanes have exited, so no Put can race the final flush;
 		// pending routes land in one last segment for the next start.
 		s.store.Close()
 	}
@@ -337,7 +343,7 @@ func (s *Service) Submit(ctx context.Context, in *layout.Instance) (*Response, e
 		}
 	}
 
-	j := &job{ctx: ctx, in: in, key: key, toCanon: toCanon, enqueued: start, done: make(chan struct{})}
+	j := &job{ctx: ctx, in: in, key: key, toCanon: toCanon, enqueued: start, queued: time.Now(), done: make(chan struct{})}
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -357,7 +363,7 @@ func (s *Service) Submit(ctx context.Context, in *layout.Instance) (*Response, e
 	case <-j.done:
 		return j.resp, j.err
 	case <-ctx.Done():
-		// The scheduler observes the same context and will answer the job
+		// The lane observes the same context and will answer the job
 		// with the cancellation; reporting it here keeps latency honest.
 		return nil, errs.Classify(ctx.Err())
 	}
@@ -418,10 +424,10 @@ func (s *Service) buildResponse(in *layout.Instance, tree *route.Tree, steiner [
 	return resp
 }
 
-// run is the scheduler: it drains the queue in batches, groups each drain
-// by grid dimensions, and processes the groups.
+// run is one scheduler lane: it drains the queue in batches, groups each
+// drain by grid dimensions, and processes the groups. Lanes share the
+// queue, the cache and the router.
 func (s *Service) run() {
-	defer close(s.done)
 	for {
 		if s.cfg.gate != nil {
 			<-s.cfg.gate
@@ -431,21 +437,19 @@ func (s *Service) run() {
 			return
 		}
 		batch := s.drainBatch(first)
+		for _, j := range batch {
+			s.m.queueWait.Observe(time.Since(j.queued))
+		}
 		for _, group := range groupByDims(batch) {
 			s.processGroup(group)
 		}
 	}
 }
 
-// drainBatch collects up to MaxBatch queued jobs, waiting at most
-// BatchWindow after the first for stragglers.
+// drainBatch adds to first up to MaxBatch-1 jobs already in the queue. It
+// never waits: an idle lane picks up whatever arrives next.
 func (s *Service) drainBatch(first *job) []*job {
 	batch := []*job{first}
-	if s.cfg.MaxBatch <= 1 {
-		return batch
-	}
-	timer := time.NewTimer(s.cfg.BatchWindow)
-	defer timer.Stop()
 	for len(batch) < s.cfg.MaxBatch {
 		select {
 		case j, ok := <-s.queue:
@@ -453,7 +457,7 @@ func (s *Service) drainBatch(first *job) []*job {
 				return batch
 			}
 			batch = append(batch, j)
-		case <-timer.C:
+		default:
 			return batch
 		}
 	}
@@ -480,19 +484,15 @@ func groupByDims(batch []*job) [][]*job {
 	return out
 }
 
-// rep is one distinct layout of a group: the representative instance plus
-// every job that asked for it (possibly in different orientations).
+// rep is one distinct layout of a group: every job that asked for it
+// (possibly in different orientations).
 type rep struct {
-	jobs     []*job
-	sps      []grid.VertexID
-	inf      int
-	skip     bool // answered from cache or wholly cancelled
-	degraded bool // inference failed after retries; construct the plain fallback
+	jobs []*job
 }
 
-// processGroup serves one same-size group: one shared-selector inference
-// per distinct layout (serial — the selector is not goroutine-safe), then
-// parallel OARMST construction over the distinct layouts.
+// processGroup serves one same-size group: it dedups the jobs by layout
+// and routes the distinct layouts in parallel, one inference on the shared
+// selector each.
 func (s *Service) processGroup(group []*job) {
 	batchSize := len(group)
 	s.m.observeBatch(batchSize)
@@ -509,112 +509,96 @@ func (s *Service) processGroup(group []*job) {
 		byKey[j.key] = r
 		reps = append(reps, r)
 	}
-
-	// Phase 1 (serial): cache re-check and shared selector inference.
-	for _, r := range reps {
-		lead := r.lead()
-		if lead == nil {
-			// Every requester gave up while queued: shed the work.
-			for _, j := range r.jobs {
-				s.finish(j, nil, j.ctx.Err())
-			}
-			r.skip = true
-			continue
-		}
-		if s.cache != nil {
-			if e, ok := s.cache.get(lead.key); ok {
-				// The layout was routed between enqueue and drain: a
-				// cache hit for every job of the rep.
-				s.m.cacheHits.Add(int64(len(r.jobs)))
-				for _, j := range s.answerFromEntry(r, e, batchSize, true, false) {
-					s.routeFallback(j, batchSize)
-				}
-				r.skip = true
-				continue
-			}
-		}
-		// Shared-selector inference with transient-failure retry and panic
-		// containment. A panic (e.g. an injected one at selector.infer)
-		// fails this rep's jobs with ErrInternal — the scheduler, and the
-		// daemon, stay alive. An inference *error* that survives retries
-		// degrades the rep: phase 2 builds the plain OARMST instead.
-		err := contained(func() error {
-			var perr error
-			r.sps, r.inf, perr = s.proposeWithRetry(lead.ctx, lead.in)
-			return perr
-		})
-		switch {
-		case err == nil:
-			s.m.inferences.Add(int64(r.inf))
-		case errors.Is(err, errs.ErrInternal):
-			r.errOut(s, err)
-			r.skip = true
-		default:
-			r.degraded = true
-		}
-	}
-
-	// Phase 2 (parallel): OARMST construction per distinct layout, one
-	// worker-private router each (core.Construct builds its own). Jobs
-	// whose entry mapping fails (hash collision) are deferred; the
-	// fallback re-route touches the shared selector and must stay serial.
-	live := make([]*rep, 0, len(reps))
-	for _, r := range reps {
-		if !r.skip {
-			live = append(live, r)
-		}
-	}
-	fallback := make([][]*job, len(live))
-	parallel.For(len(live), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r := live[i]
-			lead := r.lead()
-			if lead == nil {
-				for _, j := range r.jobs {
-					s.finish(j, nil, j.ctx.Err())
-				}
-				continue
-			}
-			var res *core.Result
-			err := contained(func() error {
-				var cerr error
-				if r.degraded {
-					res, cerr = s.router.ConstructPlain(lead.ctx, lead.in, 0)
-				} else {
-					res, cerr = s.router.Construct(lead.ctx, lead.in, r.sps, r.inf, 0)
-				}
-				return cerr
-			})
-			if err != nil {
-				r.errOut(s, err)
-				continue
-			}
-			e := entryFromTree(lead.in, lead.toCanon, res.Tree, res.SteinerPoints, res.UsedSteiner, res.Proposed)
-			if !r.degraded {
-				// Never cache a degraded result: a poisoned cache would keep
-				// answering without Steiner points after the fault clears.
-				// The disk tier gets the same write-through, so a restart
-				// starts warm.
-				if s.cache != nil {
-					s.cache.add(lead.key, e)
-				}
-				s.storePut(lead.key, e)
-			}
-			fallback[i] = s.answerFromEntry(r, e, batchSize, false, r.degraded)
+	parallel.For(len(reps), func(_, lo, hi int) {
+		for _, r := range reps[lo:hi] {
+			s.serveRep(r, batchSize)
 		}
 	})
+}
 
-	// Phase 3 (serial): collision fallbacks, routed individually — the
-	// re-route runs the shared selector, so it cannot live in phase 2.
-	for _, jobs := range fallback {
-		for _, j := range jobs {
-			s.routeFallback(j, batchSize)
+// serveRep routes one distinct layout and answers all of its jobs: a cache
+// re-check, the selector's proposal (with transient-failure retry and
+// panic containment), the OARMST construction, then the write-through to
+// both cache tiers. Jobs whose entry mapping fails (hash collision) are
+// re-routed individually.
+func (s *Service) serveRep(r *rep, batchSize int) {
+	lead := r.lead()
+	if lead == nil {
+		// Every requester gave up while queued: shed the work.
+		r.shed(s)
+		return
+	}
+	if s.cache != nil {
+		if e, ok := s.cache.get(lead.key); ok {
+			// The layout was routed between enqueue and drain: a cache
+			// hit for every job of the rep.
+			s.m.cacheHits.Add(int64(len(r.jobs)))
+			for _, j := range s.answerFromEntry(r, e, batchSize, true, false) {
+				s.routeFallback(j, batchSize)
+			}
+			return
 		}
+	}
+	// A panic (e.g. an injected one at selector.infer) fails the rep's
+	// jobs with ErrInternal; the lane, and the daemon, stay alive. An
+	// inference *error* that survives retries degrades the rep to the
+	// plain OARMST.
+	var sps []grid.VertexID
+	var inf int
+	err := contained(func() error {
+		var perr error
+		sps, inf, perr = s.proposeWithRetry(lead.ctx, lead.in)
+		return perr
+	})
+	degraded := false
+	switch {
+	case err == nil:
+		s.m.inferences.Add(int64(inf))
+	case errors.Is(err, errs.ErrInternal):
+		r.errOut(s, err)
+		return
+	default:
+		degraded = true
+	}
+
+	// The proposal is in lead's orientation, so construction stays on
+	// lead.in even if lead gave up meanwhile; it runs under the context of
+	// a requester still waiting.
+	live := r.lead()
+	if live == nil {
+		r.shed(s)
+		return
+	}
+	var res *core.Result
+	err = contained(func() error {
+		var cerr error
+		if degraded {
+			res, cerr = s.router.ConstructPlain(live.ctx, lead.in, 0)
+		} else {
+			res, cerr = s.router.Construct(live.ctx, lead.in, sps, inf, 0)
+		}
+		return cerr
+	})
+	if err != nil {
+		r.errOut(s, err)
+		return
+	}
+	e := entryFromTree(lead.in, lead.toCanon, res.Tree, res.SteinerPoints, res.UsedSteiner, res.Proposed)
+	if !degraded {
+		// Never cache a degraded result: a poisoned cache would keep
+		// answering without Steiner points after the fault clears. The
+		// disk tier gets the same write-through, so a restart starts warm.
+		if s.cache != nil {
+			s.cache.add(lead.key, e)
+		}
+		s.storePut(lead.key, e)
+	}
+	for _, j := range s.answerFromEntry(r, e, batchSize, false, degraded) {
+		s.routeFallback(j, batchSize)
 	}
 }
 
 // routeFallback answers one job with a direct (unbatched, uncached) route.
-// Must run on the scheduler goroutine: it uses the shared selector.
 func (s *Service) routeFallback(j *job, batchSize int) {
 	var res *core.Result
 	err := contained(func() error {
@@ -660,8 +644,8 @@ func (s *Service) proposeWithRetry(ctx context.Context, in *layout.Instance) ([]
 	}
 }
 
-// contained runs fn with panic containment: a panic anywhere below (the
-// scheduler's inference and construction phases route through here) is
+// contained runs fn with panic containment: a panic anywhere below (a
+// lane's inference and construction route through here) is
 // recovered into an error matching errs.ErrInternal, which the HTTP layer
 // maps to 500. The daemon never dies to a per-request panic.
 func contained(fn func() error) (err error) {
@@ -691,10 +675,18 @@ func (r *rep) errOut(s *Service, err error) {
 	}
 }
 
+// shed answers every job of the rep with its own context's error, once
+// all of them have given up.
+func (r *rep) shed(s *Service) {
+	for _, j := range r.jobs {
+		s.finish(j, nil, j.ctx.Err())
+	}
+}
+
 // answerFromEntry maps a canonical-space entry into each requesting job's
 // own orientation and answers it. It returns the jobs whose mapping failed
-// (possible only under a hash collision); the caller re-routes those
-// serially via routeFallback.
+// (possible only under a hash collision); the caller re-routes those via
+// routeFallback.
 func (s *Service) answerFromEntry(r *rep, e *cacheEntry, batchSize int, cacheHit, degraded bool) []*job {
 	var fallback []*job
 	for _, j := range r.jobs {

@@ -37,34 +37,38 @@ type metrics struct {
 	// and refused (validation failure, degraded payload, draining).
 	replicated        *obs.Counter
 	replicateRejected *obs.Counter
-	maxBatch    *obs.Gauge   // high-watermark of jobs per group
-	latency     *obs.Histogram
+	maxBatch          *obs.Gauge // high-watermark of jobs per group
+	latency           *obs.Histogram
+	// queueWait is each queued job's wait from queue push to lane pickup:
+	// the serving overhead a miss pays before its route starts.
+	queueWait *obs.Histogram
 }
 
-// newMetrics builds the service registry. The queue/cache/uptime gauges
+// newMetrics builds the service registry. The queue/cache/uptime/lanes gauges
 // are registered later by NewService: they close over the Service, which
 // does not exist yet when its metrics field is initialized.
 func newMetrics() *metrics {
 	reg := obs.NewRegistry()
 	return &metrics{
-		reg:         reg,
-		submitted:   reg.Counter("serve.submitted"),
-		completed:   reg.Counter("serve.completed"),
-		failed:      reg.Counter("serve.failed"),
-		rejected:    reg.Counter("serve.rejected"),
-		cacheHits:      reg.Counter("serve.cache_hits"),
-		cacheMisses:    reg.Counter("serve.cache_misses"),
-		cacheEvictions: reg.Counter("serve.cache.evictions"),
-		storeServed:    reg.Counter("serve.store_served"),
-		batches:     reg.Counter("serve.batches"),
-		batchedJobs: reg.Counter("serve.batched_jobs"),
-		inferences:  reg.Counter("serve.inferences"),
-		degraded:    reg.Counter("serve.degraded"),
-		retries:     reg.Counter("serve.retries"),
+		reg:               reg,
+		submitted:         reg.Counter("serve.submitted"),
+		completed:         reg.Counter("serve.completed"),
+		failed:            reg.Counter("serve.failed"),
+		rejected:          reg.Counter("serve.rejected"),
+		cacheHits:         reg.Counter("serve.cache_hits"),
+		cacheMisses:       reg.Counter("serve.cache_misses"),
+		cacheEvictions:    reg.Counter("serve.cache.evictions"),
+		storeServed:       reg.Counter("serve.store_served"),
+		batches:           reg.Counter("serve.batches"),
+		batchedJobs:       reg.Counter("serve.batched_jobs"),
+		inferences:        reg.Counter("serve.inferences"),
+		degraded:          reg.Counter("serve.degraded"),
+		retries:           reg.Counter("serve.retries"),
 		replicated:        reg.Counter("serve.replicated"),
 		replicateRejected: reg.Counter("serve.replicate_rejected"),
-		maxBatch:    reg.Gauge("serve.max_batch"),
-		latency:     reg.Histogram("serve.latency"),
+		maxBatch:          reg.Gauge("serve.max_batch"),
+		latency:           reg.Histogram("serve.latency"),
+		queueWait:         reg.Histogram("serve.queue_wait"),
 	}
 }
 
@@ -84,25 +88,25 @@ type Stats = wire.Stats
 func (s *Service) Stats() Stats {
 	m := s.m
 	st := Stats{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		QueueDepth:    len(s.queue),
-		QueueCapacity: s.cfg.QueueSize,
-		Submitted:     m.submitted.Load(),
-		Completed:     m.completed.Load(),
-		Failed:        m.failed.Load(),
-		Rejected:      m.rejected.Load(),
-		CacheHits:     m.cacheHits.Load(),
-		CacheMisses:   m.cacheMisses.Load(),
-		Inferences:    m.inferences.Load(),
-		Degraded:      m.degraded.Load(),
-		Retries:       m.retries.Load(),
+		UptimeSeconds:     time.Since(s.start).Seconds(),
+		QueueDepth:        len(s.queue),
+		QueueCapacity:     s.cfg.QueueSize,
+		Submitted:         m.submitted.Load(),
+		Completed:         m.completed.Load(),
+		Failed:            m.failed.Load(),
+		Rejected:          m.rejected.Load(),
+		CacheHits:         m.cacheHits.Load(),
+		CacheMisses:       m.cacheMisses.Load(),
+		Inferences:        m.inferences.Load(),
+		Degraded:          m.degraded.Load(),
+		Retries:           m.retries.Load(),
 		Replicated:        m.replicated.Load(),
 		ReplicateRejected: m.replicateRejected.Load(),
-		Batches:       m.batches.Load(),
-		BatchedJobs:   m.batchedJobs.Load(),
-		MaxBatch:      m.maxBatch.Load(),
-		P50Millis:     float64(m.latency.Percentile(0.50).Microseconds()) / 1000,
-		P99Millis:     float64(m.latency.Percentile(0.99).Microseconds()) / 1000,
+		Batches:           m.batches.Load(),
+		BatchedJobs:       m.batchedJobs.Load(),
+		MaxBatch:          m.maxBatch.Load(),
+		P50Millis:         float64(m.latency.Percentile(0.50).Microseconds()) / 1000,
+		P99Millis:         float64(m.latency.Percentile(0.99).Microseconds()) / 1000,
 	}
 	st.CacheEvictions = m.cacheEvictions.Load()
 	if s.cache != nil {

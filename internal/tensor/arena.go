@@ -9,11 +9,15 @@ import "fmt"
 //
 // Ownership rules (see DESIGN.md "Tensor kernels"):
 //
-//   - An Arena belongs to one goroutine; it has no locking.
+//   - An Arena is used by one goroutine at a time; it has no locking.
+//     Handing it to another goroutine needs a synchronising hand-off (the
+//     selector's mutex-guarded free list of inference arenas is one).
 //   - Reset recycles every tensor previously allocated from the arena.
 //     The owner decides the reuse boundary: nn.UNet3D resets its attached
-//     arena at the start of each Forward/Forward32, so activations stay
-//     valid exactly from one forward through the matching backward.
+//     training arena at the start of each Forward, so activations stay
+//     valid exactly from one forward through the matching backward; the
+//     inference passes (Infer, Forward32) take a caller-owned arena and
+//     leave its reset to the caller.
 //   - Data that must outlive the boundary (returned logits, parameter
 //     gradients) is copied to the heap before the next reset.
 //
