@@ -35,7 +35,7 @@ lint-cold:
 # gate. The second tier runs -short so check stays minutes-scale.
 check: vet lint
 	go test -race ./internal/parallel ./internal/tensor ./internal/mcts ./internal/serve ./internal/store ./internal/obs ./internal/errs ./internal/ckpt ./internal/fault ./internal/cluster ./client ./wire
-	go test -race -short ./internal/route ./internal/rl ./internal/nn ./internal/selector ./internal/core ./internal/experiments
+	go test -race -short ./internal/route ./internal/baseline ./internal/rl ./internal/nn ./internal/selector ./internal/core ./internal/experiments
 	$(MAKE) chaos-test-short
 	$(MAKE) bench-gate
 

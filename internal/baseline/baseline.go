@@ -63,7 +63,7 @@ type Router struct {
 	// uses one pass, Lin08 none).
 	RetracePasses int
 	// BoundMargin is the grid-space inflation of the bounded search window
-	// used by Lin18's construction.
+	// used by Lin18's construction (windowedPrim).
 	BoundMargin int
 }
 
@@ -99,9 +99,7 @@ func (b *Router) Route(in *layout.Instance) (*Result, error) {
 			tree, improved = r.Retrace(tree, in.Pins, 1)
 		}
 	case Lin18:
-		r.BoundedExploration = true
-		r.BoundMargin = b.BoundMargin
-		tree, err = r.OARMST(in.Pins)
+		tree, err = windowedPrim(r, in.Pins, b.BoundMargin)
 		if err == nil {
 			passes := b.RetracePasses
 			if passes < 1 {
@@ -124,35 +122,18 @@ func (b *Router) Route(in *layout.Instance) (*Result, error) {
 // (the tree deduplicates edges), but branching is never created
 // deliberately.
 func terminalSpanningTree(r *route.Router, terminals []grid.VertexID) (*route.Tree, error) {
-	terms := sortedUniqueIDs(terminals)
-	if len(terms) == 0 {
-		return nil, fmt.Errorf("%w: baseline: no terminals", errs.ErrInvalidLayout)
-	}
 	g := r.Graph()
-	for _, t := range terms {
-		if g.Blocked(t) {
-			return nil, fmt.Errorf("%w: baseline: terminal %v blocked", errs.ErrInvalidLayout, g.CoordOf(t))
-		}
+	terms, err := checkedTerminals(g, terminals)
+	if err != nil {
+		return nil, err
 	}
 	tree := route.NewTreeAt(terms[0])
 	connected := []grid.VertexID{terms[0]}
-	remaining := map[grid.VertexID]struct{}{}
-	for _, t := range terms[1:] {
-		remaining[t] = struct{}{}
-	}
+	remaining := remainingSet(terms[1:])
 	for len(remaining) > 0 {
-		path, _, ok := r.ShortestToTarget(connected, func(v grid.VertexID) bool {
-			_, isRem := remaining[v]
-			return isRem
-		})
+		path, _, ok := r.ShortestToTarget(connected, remaining.has)
 		if !ok {
-			var worst grid.VertexID = -1
-			for v := range remaining {
-				if worst == -1 || v < worst {
-					worst = v
-				}
-			}
-			return nil, &route.ErrUnreachable{Terminal: worst, Coord: g.CoordOf(worst)}
+			return nil, remaining.unreachable(g)
 		}
 		tree.AddPath(g, path)
 		reached := path[0]
@@ -160,6 +141,110 @@ func terminalSpanningTree(r *route.Router, terminals []grid.VertexID) (*route.Tr
 		connected = append(connected, reached)
 	}
 	return tree, nil
+}
+
+// windowedPrim is the bounded-exploration construction of [14]: the
+// maze-router-based Prim of route.Router.OARMST, except that each step
+// searches only a window spanning the current tree and the nearest
+// remaining terminal, inflated by margin, and falls back to an unbounded
+// search when the window turns out too tight. This trades a little tree
+// quality for a large speedup on big layouts.
+func windowedPrim(r *route.Router, terminals []grid.VertexID, margin int) (*route.Tree, error) {
+	g := r.Graph()
+	terms, err := checkedTerminals(g, terminals)
+	if err != nil {
+		return nil, err
+	}
+	tree := route.NewTreeAt(terms[0])
+	remaining := remainingSet(terms[1:])
+	sources := []grid.VertexID{terms[0]}
+	for len(remaining) > 0 {
+		treeBounds := route.BoundsOf(g, sources)
+		dmin := -1
+		for v := range remaining { // min-reduction: visit order is irrelevant
+			if d := windowDistance(treeBounds, g.CoordOf(v)); dmin < 0 || d < dmin {
+				dmin = d
+			}
+		}
+		window := treeBounds.Inflate(dmin+margin, g)
+		r.Bounds = &window
+		path, _, ok := r.ShortestToTarget(sources, remaining.has)
+		r.Bounds = nil
+		if !ok && r.Err() == nil {
+			path, _, ok = r.ShortestToTarget(sources, remaining.has)
+		}
+		if !ok {
+			if err := r.Err(); err != nil {
+				return nil, fmt.Errorf("baseline: windowed Prim: %w", err)
+			}
+			return nil, remaining.unreachable(g)
+		}
+		sources = append(sources, tree.AddPath(g, path)...)
+		delete(remaining, path[0]) // path[0] is the reached terminal
+	}
+	return tree, nil
+}
+
+// windowDistance is the grid-space distance from a coordinate to a bounds
+// window over the H and V axes (0 when inside).
+func windowDistance(b route.Bounds, c grid.Coord) int {
+	d := 0
+	if c.H < b.HLo {
+		d = max(d, b.HLo-c.H)
+	}
+	if c.H > b.HHi {
+		d = max(d, c.H-b.HHi)
+	}
+	if c.V < b.VLo {
+		d = max(d, b.VLo-c.V)
+	}
+	if c.V > b.VHi {
+		d = max(d, c.V-b.VHi)
+	}
+	return d
+}
+
+// checkedTerminals deduplicates and sorts the terminals and rejects an
+// empty or blocked set.
+func checkedTerminals(g *grid.Graph, terminals []grid.VertexID) ([]grid.VertexID, error) {
+	terms := sortedUniqueIDs(terminals)
+	if len(terms) == 0 {
+		return nil, fmt.Errorf("%w: baseline: no terminals", errs.ErrInvalidLayout)
+	}
+	for _, t := range terms {
+		if g.Blocked(t) {
+			return nil, fmt.Errorf("%w: baseline: terminal %v blocked", errs.ErrInvalidLayout, g.CoordOf(t))
+		}
+	}
+	return terms, nil
+}
+
+// terminalSet holds the terminals a construction has yet to connect.
+type terminalSet map[grid.VertexID]struct{}
+
+func remainingSet(terms []grid.VertexID) terminalSet {
+	s := make(terminalSet, len(terms))
+	for _, t := range terms {
+		s[t] = struct{}{}
+	}
+	return s
+}
+
+func (s terminalSet) has(v grid.VertexID) bool {
+	_, ok := s[v]
+	return ok
+}
+
+// unreachable reports the smallest terminal left, a deterministic
+// representative of the set no search could reach.
+func (s terminalSet) unreachable(g *grid.Graph) error {
+	var worst grid.VertexID = -1
+	for v := range s {
+		if worst == -1 || v < worst {
+			worst = v
+		}
+	}
+	return &route.ErrUnreachable{Terminal: worst, Coord: g.CoordOf(worst)}
 }
 
 func sortedUniqueIDs(vs []grid.VertexID) []grid.VertexID {

@@ -185,3 +185,57 @@ func TestRouteErrors(t *testing.T) {
 		}
 	}
 }
+
+func TestBoundedOARMSTMatchesUnboundedOnOpenGrid(t *testing.T) {
+	// With no obstacles and a generous margin, bounded exploration must
+	// find trees of the same cost as the unbounded construction.
+	g, _ := grid.NewUniform(12, 12, 2, 3)
+	pins := []grid.VertexID{g.Index(0, 0, 0), g.Index(11, 11, 1), g.Index(3, 9, 0), g.Index(8, 2, 1)}
+	a, err := route.NewRouter(g).OARMST(pins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := windowedPrim(route.NewRouter(g), pins, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Cost != b.Cost {
+		t.Errorf("bounded %v vs unbounded %v with full-cover margin", b.Cost, a.Cost)
+	}
+	if err := b.Validate(g, pins); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkOARMSTBounded32x32 times Lin18's windowed construction on the
+// instance BenchmarkOARMST32x32 in internal/route uses.
+func BenchmarkOARMSTBounded32x32(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g, err := grid.NewUniform(32, 32, 4, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		g.Block(grid.VertexID(rng.Intn(g.NumVertices())))
+	}
+	var terms []grid.VertexID
+	for len(terms) < 8 {
+		if id := grid.VertexID(rng.Intn(g.NumVertices())); !g.Blocked(id) {
+			terms = append(terms, id)
+		}
+	}
+	// Ensure routability by unblocking a clear row and column per layer.
+	for i := 0; i < 32; i++ {
+		for m := 0; m < 4; m++ {
+			g.Unblock(g.Index(i, 0, m))
+			g.Unblock(g.Index(0, i, m))
+		}
+	}
+	r := route.NewRouter(g)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := windowedPrim(r, terms, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -50,19 +50,6 @@ func BenchmarkOARMST32x32(b *testing.B) {
 	}
 }
 
-func BenchmarkOARMSTBounded32x32(b *testing.B) {
-	g, terms := benchInstance(b, 32, 32, 4, 8, 300)
-	r := NewRouter(g)
-	r.BoundedExploration = true
-	r.BoundMargin = 8
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.OARMST(terms); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkOARMST128x128(b *testing.B) {
 	g, terms := benchInstance(b, 128, 128, 4, 64, 5000)
 	r := NewRouter(g)

@@ -3,6 +3,8 @@ package route
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -89,4 +91,72 @@ func TestSteinerTreeCancelled(t *testing.T) {
 	if _, err := r.SteinerTree(pins, []grid.VertexID{g.Index(24, 24, 0)}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SteinerTree with cancelled context: err = %v, want context.Canceled", err)
 	}
+}
+
+// cancelAfter is a context that reports cancellation from its (after+1)-th
+// Err poll on, so a test can cancel at a deterministic point inside a build.
+type cancelAfter struct {
+	context.Context
+	polls, after int
+}
+
+func (c *cancelAfter) Err() error {
+	c.polls++
+	if c.polls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestOARMSTCancelledMidBuild cancels a 128x128 build halfway through its
+// context polls: the build must stop at that poll with context.Canceled,
+// and the same router must then rebuild the tree a fresh router builds.
+func TestOARMSTCancelledMidBuild(t *testing.T) {
+	g, err := grid.NewUniform(128, 128, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		g.Block(grid.VertexID(rng.Intn(g.NumVertices())))
+	}
+	var terms []grid.VertexID
+	for len(terms) < 64 {
+		if id := grid.VertexID(rng.Intn(g.NumVertices())); !g.Blocked(id) {
+			terms = append(terms, id)
+		}
+	}
+	want, err := NewRouter(g).OARMST(terms)
+	if err != nil {
+		t.Skipf("instance not routable: %v", err)
+	}
+
+	r := NewRouter(g)
+	base, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	full := &cancelAfter{Context: base, after: math.MaxInt}
+	r.SetContext(full)
+	if _, err := r.OARMST(terms); err != nil {
+		t.Fatal(err)
+	}
+	// One poll per attach step plus one per ctxCheckInterval heap pops.
+	if steps := len(terms) - 1; full.polls <= steps {
+		t.Fatalf("%d context polls over %d attach steps; heap pops are not polled", full.polls, steps)
+	}
+
+	mid := &cancelAfter{Context: base, after: full.polls / 2}
+	r.SetContext(mid)
+	if _, err := r.OARMST(terms); !errors.Is(err, context.Canceled) {
+		t.Fatalf("OARMST cancelled mid-build: err = %v, want context.Canceled", err)
+	}
+	if mid.polls != mid.after+1 {
+		t.Fatalf("build polled %d times after cancelling at poll %d", mid.polls, mid.after+1)
+	}
+
+	r.SetContext(nil)
+	got, err := r.OARMST(terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameTree(t, "rebuild after cancel", want, nil, got, nil)
 }

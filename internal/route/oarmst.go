@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"oarsmt/internal/errs"
+	"oarsmt/internal/fault"
 	"oarsmt/internal/grid"
 )
 
@@ -15,6 +16,14 @@ import (
 // nearest unconnected terminal. Because new paths may attach to any tree
 // vertex — not only terminals — the construction creates Steiner branching
 // implicitly.
+//
+// The whole build runs one Dijkstra frontier rather than one search per
+// attached terminal: once a path joins the tree, its new vertices are
+// seeded at distance 0 into the same heap and popping resumes. Labels only
+// ever decrease, so the entries they supersede are skipped as stale, and
+// every vertex popped is settled at its exact distance from the current
+// tree. The result is the tree a fresh multi-source search per terminal
+// would build, bit for bit (see pathBack). Router.Bounds does not apply.
 //
 // Terminals are deduplicated; at least one is required. The result is
 // deterministic: terminals are seeded from the smallest VertexID and all
@@ -32,64 +41,103 @@ func (r *Router) OARMST(terminals []grid.VertexID) (*Tree, error) {
 	}
 
 	tree := newTree(terms[0])
-	remaining := make(map[grid.VertexID]struct{}, len(terms)-1)
+	r.nextEpoch()
 	for _, t := range terms[1:] {
-		remaining[t] = struct{}{}
+		r.pending[t] = r.epoch
 	}
+	r.heap = r.heap[:0]
+	r.seen[terms[0]] = r.epoch
+	r.dist[terms[0]] = 0
+	r.heap.push(pair{0, terms[0]})
 
-	// The Dijkstra frontier is seeded with every tree vertex; the source
-	// list is maintained incrementally as paths join the tree.
-	sources := []grid.VertexID{terms[0]}
-	for len(remaining) > 0 {
+	pops, relaxations := 0, 0
+	defer func() {
+		mHeapPops.Add(int64(pops))
+		mRelaxations.Add(int64(relaxations))
+	}()
+	var path []grid.VertexID
+	for left := len(terms) - 1; left > 0; left-- {
+		// One attach step: the unit route.searches counts and the
+		// route.dijkstra fault point fires on.
 		if r.cancelled() {
 			return nil, fmt.Errorf("route: OARMST: %w", r.ctxErr)
 		}
-		isTarget := func(v grid.VertexID) bool {
-			_, isTerm := remaining[v]
-			return isTerm
+		r.ctxErr = nil
+		if fault.Enabled() {
+			if err := fault.Inject("route.dijkstra"); err != nil {
+				r.ctxErr = err
+				return nil, fmt.Errorf("route: OARMST: %w", err)
+			}
 		}
-		var path []grid.VertexID
-		var ok bool
-		if r.BoundedExploration {
-			// Bounded exploration ([14]): window = tree box inflated to
-			// reach the nearest remaining terminal plus the margin.
-			treeBounds := BoundsOf(r.g, sources)
-			dmin := -1
-			//oarsmt:allow detmap(pure min-reduction over window distances; result is independent of visit order)
-			for v := range remaining {
-				if d := windowDistance(treeBounds, r.g.CoordOf(v)); dmin < 0 || d < dmin {
-					dmin = d
+		mSearches.Inc()
+		reached := grid.VertexID(-1)
+		for len(r.heap) > 0 {
+			pops++
+			if pops%ctxCheckInterval == 0 && r.cancelled() {
+				return nil, fmt.Errorf("route: OARMST: %w", r.ctxErr)
+			}
+			p := r.heap.pop()
+			if p.d > r.dist[p.id] { // stale entry
+				continue
+			}
+			if r.pending[p.id] == r.epoch {
+				reached = p.id
+				break
+			}
+			r.nbrBuf = r.g.Neighbors(p.id, r.nbrBuf[:0])
+			for _, nb := range r.nbrBuf {
+				nd := p.d + nb.Cost
+				if r.seen[nb.ID] != r.epoch || nd < r.dist[nb.ID] {
+					relaxations++
+					r.seen[nb.ID] = r.epoch
+					r.dist[nb.ID] = nd
+					r.heap.push(pair{nd, nb.ID})
 				}
 			}
-			window := treeBounds.Inflate(dmin+r.BoundMargin, r.g)
-			r.Bounds = &window
-			path, _, ok = r.ShortestToTarget(sources, isTarget)
-			r.Bounds = nil
 		}
-		if !ok {
-			if r.ctxErr != nil {
-				return nil, fmt.Errorf("route: OARMST: %w", r.ctxErr)
-			}
-			path, _, ok = r.ShortestToTarget(sources, isTarget)
-		}
-		if !ok {
-			if r.ctxErr != nil {
-				return nil, fmt.Errorf("route: OARMST: %w", r.ctxErr)
-			}
+		if reached < 0 {
 			// Report a deterministic representative of the unreachable set.
-			var worst grid.VertexID = -1
-			//oarsmt:allow detmap(pure min-scan for the smallest unreachable terminal; order-insensitive)
-			for v := range remaining {
-				if worst == -1 || v < worst {
-					worst = v
+			for _, t := range terms {
+				if r.pending[t] == r.epoch {
+					return nil, &ErrUnreachable{Terminal: t, Coord: r.g.CoordOf(t)}
 				}
 			}
-			return nil, &ErrUnreachable{Terminal: worst, Coord: r.g.CoordOf(worst)}
 		}
-		sources = append(sources, tree.addPath(r.g, path)...)
-		delete(remaining, path[0]) // path[0] is the reached terminal
+		r.pending[reached] = 0
+		path = r.pathBack(reached, path[:0])
+		for _, v := range tree.addPath(r.g, path) {
+			r.dist[v] = 0
+			r.heap.push(pair{0, v})
+		}
 	}
 	return tree, nil
+}
+
+// pathBack returns the path from a just-settled vertex back to the tree
+// (v first, ending on the first tree vertex reached). With strictly
+// positive edge costs, the predecessor a fresh Dijkstra search records for
+// v is the neighbour u it pops first among those with dist[u] + c(u,v) ==
+// dist[v]: the tight neighbour with the smallest (dist[u], u). Every such
+// neighbour is closer than v and so already settled at its exact distance,
+// which lets the walk recover that predecessor chain without a prev array.
+func (r *Router) pathBack(v grid.VertexID, path []grid.VertexID) []grid.VertexID {
+	path = append(path, v)
+	for r.dist[v] != 0 {
+		best := grid.VertexID(-1)
+		r.nbrBuf = r.g.Neighbors(v, r.nbrBuf[:0])
+		for _, nb := range r.nbrBuf {
+			u := nb.ID
+			if r.seen[u] != r.epoch || r.dist[u]+nb.Cost != r.dist[v] {
+				continue
+			}
+			if best < 0 || r.dist[u] < r.dist[best] || (r.dist[u] == r.dist[best] && u < best) {
+				best = u
+			}
+		}
+		v = best
+		path = append(path, v)
+	}
+	return path
 }
 
 // SteinerResult is the outcome of a Steiner-point-guided tree construction.
@@ -167,25 +215,6 @@ func (r *Router) SteinerTree(pins, steiner []grid.VertexID) (*SteinerResult, err
 		}
 		sps = append([]grid.VertexID(nil), kept...)
 	}
-}
-
-// windowDistance is the grid-space distance from a coordinate to a bounds
-// window over the H and V axes (0 when inside).
-func windowDistance(b Bounds, c grid.Coord) int {
-	d := 0
-	if c.H < b.HLo {
-		d = max(d, b.HLo-c.H)
-	}
-	if c.H > b.HHi {
-		d = max(d, c.H-b.HHi)
-	}
-	if c.V < b.VLo {
-		d = max(d, b.VLo-c.V)
-	}
-	if c.V > b.VHi {
-		d = max(d, c.V-b.VHi)
-	}
-	return d
 }
 
 // reachableFrom returns the set of free vertices reachable from the given

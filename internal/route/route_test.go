@@ -445,31 +445,6 @@ func TestOARMSTOrderInvariant(t *testing.T) {
 	}
 }
 
-func TestBoundedOARMSTMatchesUnboundedOnOpenGrid(t *testing.T) {
-	// With no obstacles and a generous margin, bounded exploration must
-	// find trees of the same cost as the unbounded construction.
-	g, _ := grid.NewUniform(12, 12, 2, 3)
-	pins := []grid.VertexID{g.Index(0, 0, 0), g.Index(11, 11, 1), g.Index(3, 9, 0), g.Index(8, 2, 1)}
-	unb := NewRouter(g)
-	a, err := unb.OARMST(pins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bnd := NewRouter(g)
-	bnd.BoundedExploration = true
-	bnd.BoundMargin = 12
-	b, err := bnd.OARMST(pins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Cost != b.Cost {
-		t.Errorf("bounded %v vs unbounded %v with full-cover margin", b.Cost, a.Cost)
-	}
-	if err := b.Validate(g, pins); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestOARMSTRandomInvariants is a randomized property test: on random
 // layouts the OARMST must validate, span all pins, and never cost more
 // than the sum of sequential 2-pin routes (a loose upper bound).

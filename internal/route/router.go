@@ -43,6 +43,8 @@ type Router struct {
 	prev  []grid.VertexID
 	seen  []uint32 // epoch tags: seen[v] == epoch means dist[v] is valid
 	epoch uint32
+	// pending[v] == epoch marks a terminal OARMST has yet to attach.
+	pending []uint32
 
 	heap   pairHeap
 	nbrBuf []grid.Neighbor
@@ -53,20 +55,11 @@ type Router struct {
 	ctx    context.Context
 	ctxErr error
 
-	// Bounds, when non-nil, restricts every search to the given grid-space
-	// box. Used by the bounded-exploration baseline ([14]); searches that
-	// fail inside the bounds are the caller's responsibility to retry.
+	// Bounds, when non-nil, restricts ShortestToTarget (and ShortestPath)
+	// to the given grid-space box. Used by the bounded-exploration
+	// baseline ([14]); searches that fail inside the bounds are the
+	// caller's responsibility to retry.
 	Bounds *Bounds
-
-	// BoundedExploration enables [14]-style bounded exploration inside
-	// OARMST (and therefore SteinerTree): each Prim step searches only a
-	// window spanning the current tree and the nearest remaining terminal,
-	// inflated by BoundMargin, falling back to an unbounded search when
-	// the window turns out too tight. This trades a little tree quality
-	// for a large speedup on big layouts.
-	BoundedExploration bool
-	// BoundMargin is the window inflation of bounded exploration.
-	BoundMargin int
 }
 
 // Bounds is an inclusive grid-space search window.
@@ -117,10 +110,11 @@ func BoundsOf(g *grid.Graph, vs []grid.VertexID) Bounds {
 func NewRouter(g *grid.Graph) *Router {
 	n := g.NumVertices()
 	return &Router{
-		g:    g,
-		dist: make([]float64, n),
-		prev: make([]grid.VertexID, n),
-		seen: make([]uint32, n),
+		g:       g,
+		dist:    make([]float64, n),
+		prev:    make([]grid.VertexID, n),
+		seen:    make([]uint32, n),
+		pending: make([]uint32, n),
 	}
 }
 
@@ -162,9 +156,8 @@ func (r *Router) cancelled() bool {
 func (r *Router) nextEpoch() {
 	r.epoch++
 	if r.epoch == 0 { // wrapped: clear tags and restart
-		for i := range r.seen {
-			r.seen[i] = 0
-		}
+		clear(r.seen)
+		clear(r.pending)
 		r.epoch = 1
 	}
 }
