@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short bench bench-gate bench-all bench-fault bench-store check check-fast crash-test chaos-test chaos-test-short lint lint-cold fuzz vet experiments examples train train-resume serve serve-smoke store-smoke cluster-smoke clean
+.PHONY: all build test test-short bench bench-gate bench-all bench-fault bench-store check check-fast fma-check crash-test chaos-test chaos-test-short lint lint-cold fuzz vet experiments examples train train-resume serve serve-smoke store-smoke cluster-smoke clean
 
 all: build test
 
@@ -32,12 +32,32 @@ lint-cold:
 
 # Static checks (vet + oarsmt-lint) plus the race detector over every
 # surface the worker pool reaches, plus the kernel speedup regression
-# gate. The second tier runs -short so check stays minutes-scale.
-check: vet lint
+# gate. The second tier runs -short so check stays minutes-scale. The
+# purego line runs the numeric packages on the generic Go kernels instead
+# of the amd64 assembly, and the arm64 vet checks the non-amd64 build.
+check: vet lint fma-check
+	GOARCH=arm64 go vet ./internal/tensor
 	go test -race ./internal/parallel ./internal/tensor ./internal/mcts ./internal/serve ./internal/store ./internal/obs ./internal/errs ./internal/ckpt ./internal/fault ./internal/cluster ./client ./wire
 	go test -race -short ./internal/route ./internal/baseline ./internal/rl ./internal/nn ./internal/selector ./internal/core ./internal/experiments
+	go test -tags purego ./internal/tensor ./internal/nn ./internal/selector ./internal/core
 	$(MAKE) chaos-test-short
 	$(MAKE) bench-gate
+
+# Fused multiply-add guard. The Go spec lets the compiler fuse x*y + z,
+# which would make float results differ between architectures; every
+# accumulating product is written s += F(x*y) to forbid it. This
+# cross-compiles the daemon for arm64 and for amd64 v3 (both have FMA
+# instructions) and fails if any oarsmt/ function contains one.
+FMA_RE = FMADD|FMSUB|FNMADD|FNMSUB|VFMADD|VFMSUB|VFNM
+
+fma-check:
+	GOARCH=arm64 go build -o bin/oarsmt-serve-arm64 ./cmd/oarsmt-serve
+	GOARCH=amd64 GOAMD64=v3 go build -o bin/oarsmt-serve-amd64v3 ./cmd/oarsmt-serve
+	@fail=0; for b in bin/oarsmt-serve-arm64 bin/oarsmt-serve-amd64v3; do \
+		hits=$$(go tool objdump -s '^oarsmt/' $$b | awk '/^TEXT /{fn=$$2} /$(FMA_RE)/{print fn ": " $$0}'); \
+		if [ -n "$$hits" ]; then echo "$$b: fused multiply-add in oarsmt code:"; echo "$$hits"; fail=1; \
+		else echo "$$b: no fused multiply-add in oarsmt code"; fi; \
+	done; exit $$fail
 
 # Static analysis only (no race detector): fast enough for a pre-commit
 # hook.

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"go/build"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,8 +16,8 @@ import (
 // Cache is the on-disk result cache (default location
 // <module root>/.lintcache). Each entry is a JSON file named by a
 // SHA-256 key over everything that can change its diagnostics: the
-// engine version, the Go toolchain version, the enabled analyzer names,
-// and the content hash of the package's (or, for the interprocedural
+// engine version, the Go toolchain version, the build context (GOOS,
+// GOARCH, tags), the enabled analyzer names, and the content hash of the package's (or, for the interprocedural
 // entry, the whole pattern set's) transitive source closure. Entries
 // are therefore immutable: a source edit produces a new key, it never
 // mutates an old entry, so a stale hit is impossible and no locking is
@@ -105,6 +106,8 @@ func cacheKey(kind string, analyzers []*Analyzer, closure string) string {
 	h := sha256.New()
 	fmt.Fprintln(h, engineVersion)
 	fmt.Fprintln(h, runtime.Version())
+	// The build context picks which files make up a package.
+	fmt.Fprintln(h, build.Default.GOOS, build.Default.GOARCH, build.Default.BuildTags)
 	fmt.Fprintln(h, kind)
 	fmt.Fprintln(h, strings.Join(names, ","))
 	fmt.Fprintln(h, closure)

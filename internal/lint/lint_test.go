@@ -187,7 +187,9 @@ func TestCorpusPositions(t *testing.T) {
 
 // TestRepoLintClean is the self-test the tentpole demands: the repository
 // must satisfy its own determinism contract, so every future PR inherits
-// it as a regression test.
+// it as a regression test. Every package must also type-check cleanly:
+// the analyzers read type information, and a half-typed package would
+// pass them silently.
 func TestRepoLintClean(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
@@ -200,9 +202,39 @@ func TestRepoLintClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; loader is missing module packages", len(pkgs))
 	}
+	for _, p := range pkgs {
+		for _, err := range p.TypeErrors {
+			t.Errorf("%s does not type-check: %v", p.Path, err)
+		}
+	}
 	diags := Run(pkgs, Analyzers())
 	for _, d := range diags {
 		t.Errorf("repo not lint-clean: %s", d)
+	}
+}
+
+// TestLoaderBuildConstraints loads a package whose files declare the same
+// function under mutually exclusive //go:build lines and a _plan9 file-name
+// suffix: only the files the default build context selects may be
+// type-checked together.
+func TestLoaderBuildConstraints(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadCorpus(filepath.Join("internal", "lint", "testdata", "src", "buildtags"), "buildtags")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.TypeErrors) > 0 {
+		t.Fatalf("type errors: %v", pkg.TypeErrors)
+	}
+	var got []string
+	for _, f := range pkg.Files {
+		got = append(got, filepath.Base(pkg.Fset.File(f.Pos()).Name()))
+	}
+	if want := "kernel_off.go use.go"; strings.Join(got, " ") != want {
+		t.Fatalf("loaded files %v, want %s", got, want)
 	}
 }
 

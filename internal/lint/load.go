@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -181,21 +182,35 @@ func (l *Loader) importPathFor(dir string) string {
 	return l.ModulePath + "/" + filepath.ToSlash(rel)
 }
 
+// isPkgSource reports whether the directory entry e of dir is a non-test
+// Go file of the package as the go tool builds it for the default build
+// context: //go:build lines and _GOOS/_GOARCH file-name suffixes count,
+// so tag-exclusive files (an assembly kernel's Go side and its pure-Go
+// fallback) never meet in one type-check.
+func isPkgSource(dir string, e os.DirEntry) bool {
+	name := e.Name()
+	if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return err == nil && ok
+}
+
 func hasGoFiles(dir string) bool {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return false
 	}
 	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+		if isPkgSource(dir, e) {
 			return true
 		}
 	}
 	return false
 }
 
-// loadDir parses and type-checks the non-test files of one directory.
+// loadDir parses and type-checks the non-test files of one directory that
+// the default build context selects.
 // Results are memoised by import path, so diamond imports type-check once.
 func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 	if p, ok := l.pkgs[importPath]; ok {
@@ -213,9 +228,8 @@ func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 	}
 	var names []string
 	for _, e := range ents {
-		n := e.Name()
-		if !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
-			names = append(names, n)
+		if isPkgSource(dir, e) {
+			names = append(names, e.Name())
 		}
 	}
 	sort.Strings(names)

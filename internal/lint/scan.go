@@ -17,8 +17,8 @@ import (
 // diagnostic without changing the analyzed source: bump engineVersion
 // whenever analyzer logic, the annotation grammar, or the diagnostic
 // format changes. The per-entry key additionally folds in the Go
-// toolchain version and the enabled analyzer names, so those need no
-// manual bump.
+// toolchain version, the build context and the enabled analyzer names, so
+// those need no manual bump.
 const engineVersion = "oarsmt-lint-2"
 
 // pkgScan is the cheap (parse-imports-only, no type checking) fingerprint
@@ -68,10 +68,10 @@ func (ms *moduleScan) scanDir(dir string) error {
 	imports := map[string]bool{}
 	fset := token.NewFileSet()
 	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !isPkgSource(dir, e) {
 			continue
 		}
+		name := e.Name()
 		path := filepath.Join(dir, name)
 		data, err := os.ReadFile(path)
 		if err != nil {

@@ -86,7 +86,9 @@ func (g *GroupNorm) forward(a *tensor.Arena, x *tensor.Tensor, record bool) *ten
 		varSum := 0.0
 		for i := lo; i < hi; i++ {
 			d := x.Data[i] - mu
-			varSum += d * d
+			// The conversion rounds the product, so no GOARCH may fuse
+			// it into the add (see the tensor package's gemm.go).
+			varSum += float64(d * d)
 		}
 		std := math.Sqrt(varSum/float64(n) + g.Eps)
 		if record {
@@ -195,7 +197,7 @@ func (g *GroupNorm) forward32(a *tensor.Arena, x *tensor.T32) *tensor.T32 {
 		varSum := 0.0
 		for _, v := range x.Data[lo:hi] {
 			d := float64(v) - mu
-			varSum += d * d
+			varSum += float64(d * d)
 		}
 		std := math.Sqrt(varSum/n + g.Eps)
 		mu32 := float32(mu)
@@ -204,7 +206,8 @@ func (g *GroupNorm) forward32(a *tensor.Arena, x *tensor.T32) *tensor.T32 {
 			be := g.beta32.Data[c]
 			base := c * spatial
 			for i := 0; i < spatial; i++ {
-				out.Data[base+i] = scale*(x.Data[base+i]-mu32) + be
+				// Rounded product, never fused: see forward.
+				out.Data[base+i] = float32(scale*(x.Data[base+i]-mu32)) + be
 			}
 		}
 	})

@@ -25,13 +25,21 @@ import (
 // # Bit-determinism
 //
 // Every output element accumulates its terms in strictly ascending j order
-// from a bias-initialised single accumulator, written as separate `s += w*c`
-// statements (Go never reassociates or contracts floating-point
-// expressions), so the result is bit-identical to the textbook 7-loop
-// direct convolution that the tests keep as reference — and independent of
-// the tile width, the register blocking and the worker count: parallel
-// shards split whole position tiles (forward) or whole input channels
-// (backward), never an element's accumulation chain.
+// from a bias-initialised single accumulator, written as separate
+// `s += F(w*c)` statements. Go never reassociates floating-point
+// expressions, but the spec lets it fuse x*y + z into one multiply-add,
+// and on arm64 it does; the explicit conversion rounds the product, which
+// rules the fusion out. So the result is bit-identical on every GOARCH to
+// the textbook 7-loop direct convolution that the tests keep as reference
+// — and independent of the tile width, the register blocking and the
+// worker count: parallel shards split whole position tiles (forward) or
+// whole input channels (backward), never an element's accumulation chain.
+// (The backward dot products, dot/dot2/colGrad4, do not carry the
+// conversion yet, so gradients may still fuse on arm64.)
+//
+// On amd64 with AVX2 the forward tile runs on the assembly panels of
+// kernel_amd64.s (convFwdTileAVX2), which keep the same chain in every
+// vector lane: a separate VMULPD and VADDPD per tap, no FMA.
 
 // num is the element domain of the generic kernels.
 type num interface{ ~float32 | ~float64 }
@@ -238,16 +246,16 @@ func fwdAxpy4x2[F num](a, b, wa, wb, c0, c1, c2, c3 []F) {
 	for i := range a {
 		x0, x1, x2, x3 := c0[i], c1[i], c2[i], c3[i]
 		s := a[i]
-		s += wa0 * x0
-		s += wa1 * x1
-		s += wa2 * x2
-		s += wa3 * x3
+		s += F(wa0 * x0)
+		s += F(wa1 * x1)
+		s += F(wa2 * x2)
+		s += F(wa3 * x3)
 		a[i] = s
 		u := b[i]
-		u += wb0 * x0
-		u += wb1 * x1
-		u += wb2 * x2
-		u += wb3 * x3
+		u += F(wb0 * x0)
+		u += F(wb1 * x1)
+		u += F(wb2 * x2)
+		u += F(wb3 * x3)
 		b[i] = u
 	}
 }
@@ -262,10 +270,10 @@ func fwdAxpy4[F num](a, wa, c0, c1, c2, c3 []F) {
 	c3 = c3[:len(a)]
 	for i := range a {
 		s := a[i]
-		s += wa0 * c0[i]
-		s += wa1 * c1[i]
-		s += wa2 * c2[i]
-		s += wa3 * c3[i]
+		s += F(wa0 * c0[i])
+		s += F(wa1 * c1[i])
+		s += F(wa2 * c2[i])
+		s += F(wa3 * c3[i])
 		a[i] = s
 	}
 }
@@ -274,7 +282,7 @@ func fwdAxpy4[F num](a, wa, c0, c1, c2, c3 []F) {
 func axpy[F num](dst []F, w F, src []F) {
 	src = src[:len(dst)]
 	for i := range dst {
-		dst[i] += w * src[i]
+		dst[i] += F(w * src[i])
 	}
 }
 
@@ -283,6 +291,10 @@ func axpy[F num](dst []F, w F, src []F) {
 // channels. rows were built by buildColsIC for the same tile; jBase is the
 // flat reduction index of (ic, 0, 0, 0).
 func convFwdTile[F num](out, w []F, rows [][]F, sh convShape, jBase, t0, t1 int) {
+	if hasAVX2 {
+		convFwdTileAVX2(out, w, rows, sh, jBase, t0, t1)
+		return
+	}
 	N, J, outC := sh.n(), sh.j(), sh.outC
 	k3 := sh.k * sh.k * sh.k
 	jj := 0
