@@ -81,12 +81,14 @@ chaos-test:
 	go build -o bin/oarsmt-chaos ./cmd/oarsmt-chaos
 	bin/oarsmt-chaos -bin bin/oarsmt-serve-race -json BENCH_chaos.json
 
-# Short chaos subset run by `make check`: one end-to-end scenario (the
-# worker kill with replica fan-out) against the race-built daemon.
+# Short chaos subset run by `make check`: two end-to-end scenarios
+# against the race-built daemon — the worker kill with replica fan-out,
+# and the store-backed cache surviving a kill, a byte flipped in a
+# segment, and a restart.
 chaos-test-short:
 	go build -race -o bin/oarsmt-serve-race ./cmd/oarsmt-serve
 	go build -o bin/oarsmt-chaos ./cmd/oarsmt-chaos
-	bin/oarsmt-chaos -bin bin/oarsmt-serve-race -run worker-kill
+	bin/oarsmt-chaos -bin bin/oarsmt-serve-race -run 'worker-kill|corrupt-store'
 
 # Fault-tolerance suite under the race detector: checkpoint frame
 # corruption/torn-write recovery, kill-and-resume bit-identity, injected
@@ -160,7 +162,7 @@ serve:
 	go run ./cmd/oarsmt-serve
 
 # End-to-end serving smoke test: build the daemon, start it on a free
-# port, check /healthz, route a layout (twice; the repeat must hit the
+# port, check /v1/healthz, route a layout (twice; the repeat must hit the
 # cache), then SIGTERM it and verify the graceful drain exits 0.
 serve-smoke:
 	go build -o bin/oarsmt-serve ./cmd/oarsmt-serve

@@ -2,15 +2,21 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"oarsmt/internal/errs"
+	"oarsmt/internal/nn"
+	"oarsmt/internal/selector"
+	"oarsmt/internal/serve"
 	"oarsmt/wire"
 )
 
@@ -270,5 +276,62 @@ func TestProtoHeaderSent(t *testing.T) {
 	}
 	if h := got.Load(); h == nil || *h != "1" {
 		t.Errorf("request proto header = %v, want \"1\"", got.Load())
+	}
+}
+
+// tinyLayout is a 3x3x2 two-pin layout that routes in microseconds.
+const tinyLayout = `{"name":"t","grid":{"h":3,"v":3,"m":2,"viaCost":2,` +
+	`"dx":[1,1],"dy":[1,1],"pins":[0,8]}}`
+
+// newServeBackend stands up a real worker (a serve.Service behind
+// httptest) for tests that speak raw HTTP to it.
+func newServeBackend(t *testing.T) *httptest.Server {
+	t.Helper()
+	sel, err := selector.NewRandom(rand.New(rand.NewSource(1)),
+		nn.UNetConfig{InChannels: selector.NumFeatures, Base: 2, Depth: 1, Kernel: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := serve.NewService(serve.Config{Selector: sel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestProtoNegotiation: a request advertising an unsupported protocol
+// version is refused with the unsupported_proto code and a message in
+// the body's "error" field; the client-side sentinel matches.
+func TestProtoNegotiation(t *testing.T) {
+	srv := newServeBackend(t)
+	body := `{"layout":` + tinyLayout + `}`
+	req, err := http.NewRequest(http.MethodPost, srv.URL+wire.PathRoute, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(wire.ProtoHeader, "99")
+	res, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	if res.StatusCode != http.StatusBadRequest {
+		t.Fatalf("proto 99 = %d, want 400", res.StatusCode)
+	}
+	var e struct {
+		Error string `json:"error"`
+		Code  string `json:"code"`
+	}
+	if err := json.NewDecoder(res.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Code != "unsupported_proto" || e.Error == "" {
+		t.Errorf("error body = %+v, want code unsupported_proto and a message", e)
+	}
+	if s := wire.Sentinel(e.Code); !errors.Is(s, errs.ErrUnsupportedProto) {
+		t.Errorf("sentinel for %q = %v", e.Code, s)
 	}
 }

@@ -123,7 +123,7 @@ func TestTransportFaultPromotesHedge(t *testing.T) {
 // and rejects versions outside it with the unsupported_proto contract.
 func TestProtoDowngradeWindow(t *testing.T) {
 	srv := newServeBackend(t)
-	body := func() *strings.Reader { return strings.NewReader(`{"layout":` + compatLayout + `}`) }
+	body := func() *strings.Reader { return strings.NewReader(`{"layout":` + tinyLayout + `}`) }
 	send := func(t *testing.T, proto string) *http.Response {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, srv.URL+wire.PathRoute, body())

@@ -16,7 +16,6 @@
 //	GET  /v1/healthz  liveness (503 once draining)
 //	GET  /v1/stats    counters (wire.Stats / wire.ClusterStats)
 //	GET  /v1/metrics  Prometheus text exposition
-//	POST /route, GET /healthz /stats /metrics   deprecated unversioned aliases
 //	POST /v1/cluster/{register,lease,drain}     cluster plane (coordinator only)
 //	/debug/pprof/     Go profiling endpoints (with -pprof)
 //
@@ -56,9 +55,9 @@ func main() {
 		modelPath  = flag.String("model", "", "trained selector model (default: embedded)")
 		queueSize  = flag.Int("queue", 64, "job queue capacity (overflow returns 429)")
 		maxBatch   = flag.Int("batch", 8, "max already-queued layouts one scheduler lane takes per pass")
-		cacheSize  = flag.Int("cache", 256, "routed-layout LRU capacity (negative disables)")
-		storeDir   = flag.String("store-dir", "", "persistent route store directory (empty disables; restarts serve previously-routed layouts warm)")
-		storeMax   = flag.Int("store-entries", 4096, "persistent route store live-record bound")
+		cacheSize  = flag.Int("cache", 256, "routed-layout cache bound without -store-dir (negative disables)")
+		storeDir   = flag.String("store-dir", "", "make the cache persistent in this directory (restarts serve previously-routed layouts warm)")
+		storeMax   = flag.Int("store-entries", 4096, "routed-layout cache bound with -store-dir")
 		storeFlush = flag.Int("store-flush", 0, "routes per background store segment write (0 = store default)")
 		maxVolume  = flag.Int("max-volume", 1<<20, "max Hanan-graph vertices per layout")
 		timeout    = flag.Duration("timeout", 60*time.Second, "default per-request deadline (0 = none)")
@@ -170,11 +169,13 @@ func main() {
 				}
 			}
 		}
+		cacheBound := *cacheSize
 		if *storeDir != "" {
+			cacheBound = *storeMax
 			log.Printf("route store: %s (max %d entries)", *storeDir, *storeMax)
 		}
 		log.Printf("listening on %s (queue %d, batch %d, cache %d)",
-			ln.Addr(), *queueSize, *maxBatch, *cacheSize)
+			ln.Addr(), *queueSize, *maxBatch, cacheBound)
 	}
 
 	if *pprofOn {

@@ -681,7 +681,7 @@ func (c *Coordinator) canonicalKey(layoutJSON []byte) (string, error) {
 }
 
 // Handler returns the coordinator's HTTP surface: the same data-plane
-// paths a worker serves (versioned and legacy), plus the cluster plane.
+// paths a worker serves, plus the cluster plane.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+wire.PathRoute, c.handleRouteV1)
@@ -692,19 +692,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST "+wire.PathRegister, c.handleRegister)
 	mux.HandleFunc("POST "+wire.PathLease, c.handleLease)
 	mux.HandleFunc("POST "+wire.PathDrain, c.handleDrain)
-
-	mux.HandleFunc("POST "+wire.LegacyPathRoute, c.handleRouteLegacy)
-	mux.HandleFunc("GET "+wire.LegacyPathHealthz, c.deprecated(wire.PathHealthz, c.handleHealthz))
-	mux.HandleFunc("GET "+wire.LegacyPathStats, c.deprecated(wire.PathStats, c.handleStats))
-	mux.HandleFunc("GET "+wire.LegacyPathMetrics, c.deprecated(wire.PathMetrics, c.handleMetrics))
 	return mux
-}
-
-func (c *Coordinator) deprecated(replacement string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(wire.DeprecationHeader, replacement)
-		h(w, r)
-	}
 }
 
 // writeBodyError maps a body-read failure, keeping the 413 for
@@ -738,38 +726,12 @@ func (c *Coordinator) handleRouteV1(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, fmt.Errorf("%w: request envelope has no layout", errs.ErrInvalidLayout))
 		return
 	}
-	c.serveForward(w, r, &req)
-}
-
-func (c *Coordinator) handleRouteLegacy(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(wire.DeprecationHeader, wire.PathRoute)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeBodyError(w, err)
-		return
-	}
-	req := wire.RouteRequest{Layout: body, Edges: r.URL.Query().Get("edges") != ""}
-	if tq := r.URL.Query().Get("timeout"); tq != "" {
-		d, err := time.ParseDuration(tq)
-		if err != nil || d <= 0 {
-			wire.WriteErrorStatus(w, http.StatusBadRequest, "invalid_layout", "timeout: want a positive duration like 250ms")
-			return
-		}
-		req.TimeoutMillis = d.Milliseconds()
-		if req.TimeoutMillis == 0 {
-			req.TimeoutMillis = 1
-		}
-	}
-	c.serveForward(w, r, &req)
-}
-
-func (c *Coordinator) serveForward(w http.ResponseWriter, r *http.Request, req *wire.RouteRequest) {
 	key, err := c.canonicalKey(req.Layout)
 	if err != nil {
 		wire.WriteError(w, err)
 		return
 	}
-	resp, err := c.forward(r.Context(), key, req)
+	resp, err := c.forward(r.Context(), key, &req)
 	if err != nil {
 		wire.WriteError(w, err)
 		return

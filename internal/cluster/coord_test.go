@@ -430,12 +430,57 @@ func TestCoordinatorBodyErrorMapping(t *testing.T) {
 		{"oversized", func() io.Reader { return bytes.NewReader(make([]byte, maxBodyBytes+1)) }, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
-		for _, path := range []string{wire.PathRoute, wire.LegacyPathRoute} {
-			req := httptest.NewRequest(http.MethodPost, path, tc.body())
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code != tc.want {
-				t.Errorf("%s on %s = %d, want %d", tc.name, path, rec.Code, tc.want)
+		req := httptest.NewRequest(http.MethodPost, wire.PathRoute, tc.body())
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("%s on %s = %d, want %d", tc.name, wire.PathRoute, rec.Code, tc.want)
+		}
+	}
+}
+
+// TestUnversionedPathsGone: the pre-protocol aliases (POST /route, GET
+// /healthz, /stats, /metrics) finished their deprecation cycle and are
+// not served by a worker or by a coordinator, while each versioned twin
+// still answers, with the protocol header (a GET of the route path with
+// 405).
+func TestUnversionedPathsGone(t *testing.T) {
+	worker := newServeWorker(t)
+	front := httptest.NewServer(newTestCoord(t, Config{}).Handler())
+	t.Cleanup(front.Close)
+	get := func(url string) *http.Response {
+		t.Helper()
+		res, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		return res
+	}
+	for _, base := range []string{worker.URL, front.URL} {
+		res, err := http.Post(base+"/route", "application/json", strings.NewReader(clusterLayout))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s/route = %d, want 404", base, res.StatusCode)
+		}
+		if res := get(base + wire.PathRoute); res.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("GET %s%s = %d, want 405", base, wire.PathRoute, res.StatusCode)
+		}
+		for _, p := range []struct{ old, v1 string }{
+			{"/healthz", wire.PathHealthz},
+			{"/stats", wire.PathStats},
+			{"/metrics", wire.PathMetrics},
+		} {
+			if res := get(base + p.old); res.StatusCode != http.StatusNotFound {
+				t.Errorf("GET %s%s = %d, want 404", base, p.old, res.StatusCode)
+			}
+			res := get(base + p.v1)
+			if res.StatusCode != http.StatusOK || res.Header.Get(wire.ProtoHeader) == "" {
+				t.Errorf("GET %s%s = %d, proto header %q; want 200 with the header",
+					base, p.v1, res.StatusCode, res.Header.Get(wire.ProtoHeader))
 			}
 		}
 	}

@@ -195,14 +195,6 @@ func (r *Router) Route(ctx context.Context, in *layout.Instance, opts ...Option)
 	return rr.Construct(ctx, in, sps, inferences, t.Elapsed())
 }
 
-// RouteCtx routes the instance.
-//
-// Deprecated: RouteCtx predates the context-first redesign; it is
-// equivalent to Route(ctx, in) with no options.
-func (r *Router) RouteCtx(ctx context.Context, in *layout.Instance) (*Result, error) {
-	return r.Route(ctx, in)
-}
-
 // Propose runs the selection phase alone: the selector's Steiner-point
 // proposal for the instance and the number of network inferences spent.
 // Splitting selection from construction lets a batch scheduler share one
@@ -383,14 +375,6 @@ func PlainOARMST(ctx context.Context, in *layout.Instance) (*route.Tree, error) 
 		return nil, errs.Classify(err)
 	}
 	return tree, nil
-}
-
-// PlainOARMSTCtx routes the instance without Steiner points.
-//
-// Deprecated: PlainOARMSTCtx predates the context-first redesign; it is
-// equivalent to PlainOARMST(ctx, in).
-func PlainOARMSTCtx(ctx context.Context, in *layout.Instance) (*route.Tree, error) {
-	return PlainOARMST(ctx, in)
 }
 
 // STtoMSTRatio evaluates the router on the instance and returns the

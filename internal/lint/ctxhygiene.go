@@ -10,9 +10,8 @@ import (
 // minting a fresh root context there severs the caller's deadline and
 // cancellation, which is how a cancelled serving request keeps burning CPU
 // in a Dijkstra expansion. Executables (package main) own their root
-// context and are exempt; convenience wrappers without a ctx parameter
-// (Route calling RouteCtx(context.Background(), ...)) are fine because no
-// caller context exists to drop.
+// context and are exempt; functions without a ctx parameter are fine
+// because no caller context exists to drop.
 var AnalyzerCtxHygiene = &Analyzer{
 	Name: "ctxhygiene",
 	Doc:  "context.Background/TODO in functions that already receive a ctx",

@@ -1,88 +1,22 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
-
 	"oarsmt/internal/grid"
 	"oarsmt/internal/layout"
-	"oarsmt/internal/obs"
 	"oarsmt/internal/route"
+	"oarsmt/internal/store"
 )
 
-// cacheEntry is a routed result stored in the canonical orientation of its
-// layout (see canonicalize). Coordinates rather than vertex IDs are stored
-// so the entry can be mapped into any requesting orientation without
-// keeping the canonical graph alive.
-type cacheEntry struct {
-	h, v, m     int          // canonical grid dimensions
-	root        grid.Coord   // tree root, canonical space
-	edges       [][2]grid.Coord
-	steiner     []grid.Coord // irredundant Steiner points kept in the tree
-	usedSteiner bool
-	proposed    int // Steiner points the selector proposed
-	cost        float64
-}
+// The cache holds store.Records: a routed result in the canonical
+// orientation of its layout (see canonicalize), under the layout's key.
+// Coordinates rather than vertex IDs are stored so a record can be mapped
+// into any requesting orientation without keeping the canonical graph
+// alive.
 
-// lruCache is a mutex-guarded LRU map from canonical layout hash to routed
-// result. Evictions are counted on the provided counter (the
-// serve.cache.evictions metric) so cache pressure is visible on /metrics
-// instead of silently recycling entries.
-type lruCache struct {
-	mu        sync.Mutex
-	cap       int
-	ll        *list.List // front = most recently used
-	items     map[cacheKey]*list.Element
-	evictions *obs.Counter
-}
-
-type lruItem struct {
-	key   cacheKey
-	entry *cacheEntry
-}
-
-func newLRUCache(capacity int, evictions *obs.Counter) *lruCache {
-	return &lruCache{cap: capacity, ll: list.New(), items: make(map[cacheKey]*list.Element), evictions: evictions}
-}
-
-func (c *lruCache) get(k cacheKey) (*cacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruItem).entry, true
-}
-
-func (c *lruCache) add(k cacheKey, e *cacheEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*lruItem).entry = e
-		return
-	}
-	c.items[k] = c.ll.PushFront(&lruItem{key: k, entry: e})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*lruItem).key)
-		c.evictions.Inc()
-	}
-}
-
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// entryFromTree converts a routed result in the instance's own orientation
-// into a canonical-space cache entry, mapping every coordinate through
-// toCanon.
-func entryFromTree(in *layout.Instance, toCanon grid.Aug, tree *route.Tree, steiner []grid.VertexID, usedSteiner bool, proposed int) *cacheEntry {
+// recordFromTree converts a routed result in the instance's own
+// orientation into a canonical-space record under key, mapping every
+// coordinate through toCanon.
+func recordFromTree(in *layout.Instance, key store.Key, toCanon grid.Aug, tree *route.Tree, steiner []grid.VertexID, usedSteiner bool, proposed int) *store.Record {
 	g := in.Graph
 	ch, cv := g.H, g.V
 	if toCanon.Rot%2 == 1 {
@@ -91,53 +25,54 @@ func entryFromTree(in *layout.Instance, toCanon grid.Aug, tree *route.Tree, stei
 	fw := func(id grid.VertexID) grid.Coord {
 		return toCanon.ApplyCoord(g.H, g.V, g.M, g.CoordOf(id))
 	}
-	e := &cacheEntry{
-		h: ch, v: cv, m: g.M,
-		root:        fw(tree.Root),
-		edges:       make([][2]grid.Coord, len(tree.Edges)),
-		steiner:     make([]grid.Coord, len(steiner)),
-		usedSteiner: usedSteiner,
-		proposed:    proposed,
-		cost:        tree.Cost,
+	r := &store.Record{
+		Key: key,
+		H:   ch, V: cv, M: g.M,
+		Root:        fw(tree.Root),
+		Edges:       make([][2]grid.Coord, len(tree.Edges)),
+		Steiner:     make([]grid.Coord, len(steiner)),
+		UsedSteiner: usedSteiner,
+		Proposed:    proposed,
+		Cost:        tree.Cost,
 	}
 	for i, ed := range tree.Edges {
-		e.edges[i] = [2]grid.Coord{fw(ed.A), fw(ed.B)}
+		r.Edges[i] = [2]grid.Coord{fw(ed.A), fw(ed.B)}
 	}
 	for i, sp := range steiner {
-		e.steiner[i] = fw(sp)
+		r.Steiner[i] = fw(sp)
 	}
-	return e
+	return r
 }
 
-// treeFromEntry maps a canonical-space entry into the requesting
+// treeFromRecord maps a canonical-space record into the requesting
 // instance's orientation (via the inverse of its canonicalizing
 // augmentation) and rebuilds the routed tree there. It validates the
 // reconstruction against the request's graph and pins, so a hash
-// collision or dimension mismatch yields ok == false (a cache miss)
-// rather than a wrong answer.
-func treeFromEntry(in *layout.Instance, toCanon grid.Aug, e *cacheEntry) (tree *route.Tree, steiner []grid.VertexID, ok bool) {
+// collision, dimension mismatch or corrupt record yields ok == false (a
+// cache miss) rather than a wrong answer.
+func treeFromRecord(in *layout.Instance, toCanon grid.Aug, r *store.Record) (tree *route.Tree, steiner []grid.VertexID, ok bool) {
 	g := in.Graph
 	ch, cv := g.H, g.V
 	if toCanon.Rot%2 == 1 {
 		ch, cv = g.V, g.H
 	}
-	if e.h != ch || e.v != cv || e.m != g.M {
+	if r.H != ch || r.V != cv || r.M != g.M {
 		return nil, nil, false
 	}
 	inv := inverseAug(toCanon)
 	back := func(c grid.Coord) (grid.VertexID, bool) {
-		rc := inv.ApplyCoord(e.h, e.v, e.m, c)
+		rc := inv.ApplyCoord(r.H, r.V, r.M, c)
 		if !g.InBounds(rc) {
 			return 0, false
 		}
 		return g.IndexOf(rc), true
 	}
-	root, okRoot := back(e.root)
+	root, okRoot := back(r.Root)
 	if !okRoot {
 		return nil, nil, false
 	}
 	t := route.NewTreeAt(root)
-	for _, ed := range e.edges {
+	for _, ed := range r.Edges {
 		a, okA := back(ed[0])
 		b, okB := back(ed[1])
 		if !okA || !okB || !adjacent(g, a, b) {
@@ -145,8 +80,8 @@ func treeFromEntry(in *layout.Instance, toCanon grid.Aug, e *cacheEntry) (tree *
 		}
 		t.AddPath(g, []grid.VertexID{a, b})
 	}
-	steiner = make([]grid.VertexID, 0, len(e.steiner))
-	for _, c := range e.steiner {
+	steiner = make([]grid.VertexID, 0, len(r.Steiner))
+	for _, c := range r.Steiner {
 		sp, okSP := back(c)
 		if !okSP {
 			return nil, nil, false
@@ -173,4 +108,3 @@ func abs(x int) int {
 	}
 	return x
 }
-

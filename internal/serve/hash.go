@@ -10,19 +10,13 @@ import (
 
 	"oarsmt/internal/grid"
 	"oarsmt/internal/layout"
+	"oarsmt/internal/store"
 )
 
-// cacheKey is the augmentation-normalized identity of a layout: the
-// smallest SHA-256 digest over the serializations of its 16 augmented
-// variants (paper §3.6's augmentation group: 4 rotations x H-mirror x
-// Z-mirror). Two layouts share a key exactly when one is an augmentation
-// of the other, so a cached route for any orientation serves all 16.
-type cacheKey [sha256.Size]byte
-
 // CanonicalKey returns the hex form of the instance's augmentation-
-// normalized cache key. The cluster coordinator shards requests by this
-// key, so all 16 orientations of a layout land on the same worker and
-// share its cache and store tiers.
+// normalized cache key (see canonicalize). The cluster coordinator shards
+// requests by this key, so all 16 orientations of a layout land on the
+// same worker and share its cache.
 func CanonicalKey(in *layout.Instance) string {
 	key, _ := canonicalize(in)
 	return hex.EncodeToString(key[:])
@@ -30,10 +24,13 @@ func CanonicalKey(in *layout.Instance) string {
 
 // canonicalize returns the cache key of the instance together with the
 // augmentation that maps the instance onto its canonical (smallest-digest)
-// form. The canonical form is a property of the layout alone, so every
-// orientation of the same layout agrees on both the key and the canonical
-// space.
-func canonicalize(in *layout.Instance) (key cacheKey, toCanon grid.Aug) {
+// form. The key is the augmentation-normalized identity of the layout: the
+// smallest SHA-256 digest over the serializations of its 16 augmented
+// variants (paper §3.6's augmentation group: 4 rotations x H-mirror x
+// Z-mirror). Two layouts share a key exactly when one is an augmentation of
+// the other, so a cached route for any orientation serves all 16, and every
+// orientation agrees on both the key and the canonical space.
+func canonicalize(in *layout.Instance) (key store.Key, toCanon grid.Aug) {
 	first := true
 	for _, a := range grid.AllAugmentations() {
 		g := a.Apply(in.Graph)
@@ -60,7 +57,7 @@ func mapVertices(a grid.Aug, src, dst *grid.Graph, vs []grid.VertexID) []grid.Ve
 // digest hashes every observable property of a grid-form layout:
 // dimensions, via cost, per-step edge costs, preferred-direction scales,
 // the vertex and edge obstacle sets, and the (sorted) pin set.
-func digest(g *grid.Graph, pins []grid.VertexID) cacheKey {
+func digest(g *grid.Graph, pins []grid.VertexID) store.Key {
 	h := sha256.New()
 	buf := make([]byte, 0, 4096)
 	flush := func() {
@@ -130,7 +127,7 @@ func digest(g *grid.Graph, pins []grid.VertexID) cacheKey {
 	}
 	flush()
 
-	var key cacheKey
+	var key store.Key
 	h.Sum(key[:0])
 	return key
 }

@@ -91,9 +91,9 @@ func TestCanonicalKeySeparatesLayouts(t *testing.T) {
 	}
 }
 
-// TestEntryRoundTripIdentity checks the cache entry round trip in the
-// canonicalizing orientation: storing a routed tree and mapping it back
-// into the same request orientation must reproduce the tree bit for bit.
+// TestEntryRoundTripAllAugmentations checks the cache record round trip in
+// every orientation: storing a routed tree and mapping it back into the
+// same request orientation must reproduce the tree bit for bit.
 func TestEntryRoundTripAllAugmentations(t *testing.T) {
 	base := serveInstance(t, 21, 5, 7, 2, 4)
 	for _, a := range grid.AllAugmentations() {
@@ -102,9 +102,9 @@ func TestEntryRoundTripAllAugmentations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, toCanon := canonicalize(in)
-		e := entryFromTree(in, toCanon, tree, nil, false, 0)
-		back, _, ok := treeFromEntry(in, toCanon, e)
+		key, toCanon := canonicalize(in)
+		rec := recordFromTree(in, key, toCanon, tree, nil, false, 0)
+		back, _, ok := treeFromRecord(in, toCanon, rec)
 		if !ok {
 			t.Fatalf("orientation %+v: round trip rejected", a)
 		}

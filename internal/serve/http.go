@@ -16,12 +16,12 @@ import (
 	"oarsmt/wire"
 )
 
-// maxBodyBytes bounds a /route request body; layouts are JSON and even
+// maxBodyBytes bounds a route request body; layouts are JSON and even
 // dense 256x256x4 obstacle grids fit comfortably.
 const maxBodyBytes = 8 << 20
 
-// Handler returns the service's HTTP surface — the versioned wire
-// protocol plus the legacy unversioned aliases:
+// Handler returns the service's HTTP surface, the versioned wire
+// protocol:
 //
 //	POST /v1/route    — route one layout (wire.RouteRequest envelope:
 //	                    the layout plus timeoutMillis / edges fields)
@@ -29,10 +29,7 @@ const maxBodyBytes = 8 << 20
 //	GET  /v1/stats    — JSON counters snapshot (wire.Stats)
 //	GET  /v1/metrics  — Prometheus text exposition: the service registry
 //	                    followed by the process-wide obs.Default registry
-//
-//	POST /route       — deprecated alias: bare layout body, options as
-//	                    ?timeout=250ms / ?edges=1 query parameters
-//	GET  /healthz, /stats, /metrics — deprecated aliases of the /v1 twins
+//	POST /v1/replicate — install a route a peer already computed
 //
 // Queue overflow maps to 429 with Retry-After; oversized or malformed
 // layouts to 4xx; deadline expiry to 504. Every error body is a
@@ -46,27 +43,11 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET "+wire.PathHealthz, s.handleHealthz)
 	mux.HandleFunc("GET "+wire.PathStats, s.handleStats)
 	mux.HandleFunc("GET "+wire.PathMetrics, s.handleMetrics)
-
-	mux.HandleFunc("POST "+wire.LegacyPathRoute, s.handleRouteLegacy)
-	mux.HandleFunc("GET "+wire.LegacyPathHealthz, deprecated(wire.PathHealthz, s.handleHealthz))
-	mux.HandleFunc("GET "+wire.LegacyPathStats, deprecated(wire.PathStats, s.handleStats))
-	mux.HandleFunc("GET "+wire.LegacyPathMetrics, deprecated(wire.PathMetrics, s.handleMetrics))
 	return mux
 }
 
-// deprecated wraps a legacy alias handler: same behaviour, plus the
-// deprecation header naming the versioned replacement.
-func deprecated(replacement string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(wire.DeprecationHeader, replacement)
-		h(w, r)
-	}
-}
-
 // handleRouteV1 serves the typed protocol: a wire.RouteRequest envelope,
-// with the per-request options as message fields. The legacy query
-// parameters are still honoured when the envelope leaves them unset, so
-// a half-migrated client can move the body and the options separately.
+// with the per-request options as message fields.
 func (s *Service) handleRouteV1(w http.ResponseWriter, r *http.Request) {
 	if err := wire.CheckProto(r); err != nil {
 		wire.WriteError(w, err)
@@ -91,53 +72,25 @@ func (s *Service) handleRouteV1(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, err)
 		return
 	}
-	timeout := time.Duration(req.TimeoutMillis) * time.Millisecond
 	if req.TimeoutMillis < 0 {
 		wire.WriteErrorStatus(w, http.StatusBadRequest, "invalid_layout", "timeoutMillis: want >= 0")
 		return
 	}
-	if timeout == 0 {
-		if d, ok, qerr := legacyTimeout(r); qerr != nil {
-			wire.WriteErrorStatus(w, http.StatusBadRequest, "invalid_layout", qerr.Error())
-			return
-		} else if ok {
-			timeout = d
-		}
+	ctx := r.Context()
+	if req.TimeoutMillis > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMillis)*time.Millisecond)
+		defer cancel()
 	}
-	edges := req.Edges || r.URL.Query().Get("edges") != ""
-	s.serveRoute(w, r, in, timeout, edges)
-}
-
-// handleRouteLegacy serves the pre-protocol convention: the body is the
-// bare layout, options are query parameters.
-func (s *Service) handleRouteLegacy(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(wire.DeprecationHeader, wire.PathRoute)
-	in, err := layout.DecodeWithLimit(http.MaxBytesReader(w, r.Body, maxBodyBytes), s.cfg.MaxVolume)
+	resp, err := s.Submit(ctx, in)
 	if err != nil {
-		writeBodyError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
-	var timeout time.Duration
-	if d, ok, qerr := legacyTimeout(r); qerr != nil {
-		wire.WriteErrorStatus(w, http.StatusBadRequest, "invalid_layout", qerr.Error())
-		return
-	} else if ok {
-		timeout = d
+	if !req.Edges {
+		resp.Edges = nil
 	}
-	s.serveRoute(w, r, in, timeout, r.URL.Query().Get("edges") != "")
-}
-
-// legacyTimeout parses the deprecated ?timeout= query parameter.
-func legacyTimeout(r *http.Request) (time.Duration, bool, error) {
-	tq := r.URL.Query().Get("timeout")
-	if tq == "" {
-		return 0, false, nil
-	}
-	d, err := time.ParseDuration(tq)
-	if err != nil || d <= 0 {
-		return 0, false, errors.New("timeout: want a positive duration like 250ms")
-	}
-	return d, true, nil
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // writeBodyError maps a body-read or layout-decode failure, keeping the
@@ -152,25 +105,6 @@ func writeBodyError(w http.ResponseWriter, err error) {
 		err = fmt.Errorf("%w: %v", errs.ErrInvalidLayout, err)
 	}
 	wire.WriteError(w, err)
-}
-
-// serveRoute runs the shared submit path for both protocol generations.
-func (s *Service) serveRoute(w http.ResponseWriter, r *http.Request, in *layout.Instance, timeout time.Duration, edges bool) {
-	ctx := r.Context()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	resp, err := s.Submit(ctx, in)
-	if err != nil {
-		wire.WriteError(w, err)
-		return
-	}
-	if !edges {
-		resp.Edges = nil
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -16,7 +16,7 @@ import (
 
 // This file is the receiving half of the cluster's replica fan-out: the
 // coordinator POSTs a finished route to the next ring replica
-// (/v1/replicate), and the worker installs it into both cache tiers after
+// (/v1/replicate), and the worker installs it into its cache after
 // rebuilding and re-validating the tree against the layout. The validate
 // step is the whole safety story — a corrupt, stale, or malicious payload
 // is rejected with ErrInvalidTree, so a replicated entry can make a shard
@@ -24,9 +24,8 @@ import (
 
 // Install rebuilds the routed tree carried by a replicated response,
 // validates it against the layout's graph and pins, and installs it into
-// the memory LRU and the persistent store. It returns false when the
-// entry was declined because an equivalent one is already cached (not an
-// error: replication is idempotent).
+// the cache. It returns false when the record was declined because a
+// valid one is already cached (not an error: replication is idempotent).
 func (s *Service) Install(in *layout.Instance, resp *wire.RouteResponse) (bool, error) {
 	if in == nil || in.Graph == nil || resp == nil {
 		return false, fmt.Errorf("%w: serve: replicate: nil instance or response", errs.ErrInvalidLayout)
@@ -39,7 +38,7 @@ func (s *Service) Install(in *layout.Instance, resp *wire.RouteResponse) (bool, 
 		return false, ErrClosed
 	}
 	if resp.Degraded {
-		// A degraded answer must never enter a cache tier; replicating one
+		// A degraded answer must never enter the cache; replicating one
 		// would poison the successor's shard.
 		return false, fmt.Errorf("%w: serve: replicate: degraded response", errs.ErrInvalidTree)
 	}
@@ -48,19 +47,16 @@ func (s *Service) Install(in *layout.Instance, resp *wire.RouteResponse) (bool, 
 		return false, err
 	}
 
+	if s.store == nil {
+		return true, nil
+	}
 	key, toCanon := canonicalize(in)
-	if s.cache != nil {
-		if e, ok := s.cache.get(key); ok {
-			if _, _, valid := treeFromEntry(in, toCanon, e); valid {
-				return false, nil
-			}
+	if rec, ok := s.store.Get(key); ok {
+		if _, _, valid := treeFromRecord(in, toCanon, rec); valid {
+			return false, nil
 		}
 	}
-	e := entryFromTree(in, toCanon, tree, steiner, resp.UsedSteiner, resp.Proposed)
-	if s.cache != nil {
-		s.cache.add(key, e)
-	}
-	s.storePut(key, e)
+	s.store.Put(recordFromTree(in, key, toCanon, tree, steiner, resp.UsedSteiner, resp.Proposed))
 	return true, nil
 }
 

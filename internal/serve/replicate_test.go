@@ -174,3 +174,25 @@ func TestInstallDirect(t *testing.T) {
 		t.Errorf("Install on closed service = %v, want ErrClosed", err)
 	}
 }
+
+// TestInstallDeclinesRepeatOnStore: on a service whose only cache is the
+// persistent store, a repeat Install of an already-cached layout is
+// declined, as it is on a memory-only service.
+func TestInstallDeclinesRepeatOnStore(t *testing.T) {
+	_, src := newTestServer(t, Config{})
+	resp, err := src.RouteJSON(context.Background(), []byte(smallLayoutJSON), &client.RouteOptions{Edges: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := layout.Decode(strings.NewReader(smallLayoutJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := newTestService(t, Config{StoreDir: t.TempDir(), CacheSize: -1})
+	if installed, err := dst.Install(in, resp); err != nil || !installed {
+		t.Fatalf("first Install = (%v, %v), want (true, nil)", installed, err)
+	}
+	if installed, err := dst.Install(in, resp); err != nil || installed {
+		t.Errorf("repeat Install = (%v, %v), want (false, nil)", installed, err)
+	}
+}

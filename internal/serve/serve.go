@@ -9,11 +9,15 @@
 // grouping of internal/rl's Fig 9 training batches — and route every
 // distinct layout on the internal/parallel worker pool: one inference on
 // the shared selector (whose inference is goroutine-safe), then the OARMST
-// construction. Results are memoized in an LRU keyed by the
-// augmentation-normalized canonical layout hash, so any of the 16
-// symmetric orientations of a layout hits the same entry. Per-request deadlines travel as context.Context through
-// internal/core and internal/route, interrupting even long Dijkstra
-// expansions.
+// construction. Results are memoized in one cache tier, an
+// internal/store.Store keyed by the augmentation-normalized canonical
+// layout hash, so any of the 16 symmetric orientations of a layout hits the
+// same record. The store is memory-only by default; with Config.StoreDir it
+// also persists to segment files, so a restarted daemon starts warm. Every
+// hit is replayed through a Validate path, so a collision or corrupt record
+// is a miss, never a wrong tree. Per-request deadlines travel as
+// context.Context through internal/core and internal/route, interrupting
+// even long Dijkstra expansions.
 //
 // The package is stdlib-only and embeddable; cmd/oarsmt-serve wraps it in
 // an HTTP daemon.
@@ -65,8 +69,9 @@ type Config struct {
 	// MaxBatch caps how many already-queued jobs one lane pass drains;
 	// <= 0 means 8, 1 disables batching.
 	MaxBatch int
-	// CacheSize is the LRU capacity in routed layouts; 0 means 256,
-	// negative disables caching.
+	// CacheSize bounds the memory-only cache in routed layouts; 0 means
+	// 256, negative disables caching. Not read when StoreDir is set:
+	// StoreMaxEntries bounds the cache then.
 	CacheSize int
 	// MaxVolume rejects layouts with more Hanan-graph vertices (guards
 	// both decode-time allocation and per-request CPU); <= 0 means 1<<20.
@@ -86,17 +91,17 @@ type Config struct {
 	// which can flip near-tie Steiner-point choices. Leave false when
 	// served routes must match offline float64 evaluation bit-for-bit.
 	Float32 bool
-	// StoreDir enables the persistent route store (internal/store): routed
+	// StoreDir makes the cache persistent (internal/store): routed
 	// layouts are written through to checksummed segment files under this
 	// directory and reloaded on the next start, so a restarted daemon
 	// serves previously-routed layouts from disk without touching the
 	// selector. Records are versioned by the selector's weight fingerprint;
 	// starting with a retrained model invalidates every stored route.
-	// Empty disables the disk tier.
+	// Empty keeps the cache in memory only.
 	StoreDir string
-	// StoreMaxEntries bounds the disk tier's live records (and, after
-	// compaction, its disk use); <= 0 means 4096. Only read when StoreDir
-	// is set.
+	// StoreMaxEntries bounds the persistent cache's live records (and,
+	// after compaction, its disk use); <= 0 means 4096. Only read when
+	// StoreDir is set.
 	StoreMaxEntries int
 	// StoreFlushEvery is how many freshly routed layouts trigger a
 	// background segment write; <= 0 means the store's default (32). Lower
@@ -171,7 +176,7 @@ type Response = wire.RouteResponse
 type job struct {
 	ctx      context.Context
 	in       *layout.Instance
-	key      cacheKey
+	key      store.Key
 	toCanon  grid.Aug
 	enqueued time.Time // Submit entry: the start of the request's latency
 	queued   time.Time // queue push: the start of its serve.queue_wait
@@ -187,8 +192,9 @@ type Service struct {
 	cfg    Config
 	router *core.Router
 	queue  chan *job
-	cache  *lruCache    // nil when caching is disabled
-	store  *store.Store // nil when the disk tier is disabled
+	// store is the one cache tier, persistent when StoreDir is set; nil
+	// only when CacheSize < 0 and StoreDir is empty.
+	store *store.Store
 
 	mu     sync.RWMutex // serializes enqueue against Close
 	closed bool
@@ -224,21 +230,15 @@ func NewService(cfg Config) (*Service, error) {
 		start:  time.Now(),
 		m:      newMetrics(),
 	}
-	if cfg.CacheSize > 0 {
-		s.cache = newLRUCache(cfg.CacheSize, s.m.cacheEvictions)
-	}
-	if cfg.StoreDir != "" {
-		maxEntries := cfg.StoreMaxEntries
-		if maxEntries <= 0 {
-			maxEntries = 4096
+	if cfg.StoreDir != "" || cfg.CacheSize > 0 {
+		opts := store.Options{MaxEntries: cfg.CacheSize, Registry: s.m.reg}
+		if cfg.StoreDir != "" {
+			opts.Dir = cfg.StoreDir
+			opts.Fingerprint = store.Fingerprint(cfg.Selector.Fingerprint())
+			opts.MaxEntries = cfg.StoreMaxEntries
+			opts.FlushEvery = cfg.StoreFlushEvery
 		}
-		st, err := store.Open(store.Options{
-			Dir:         cfg.StoreDir,
-			Fingerprint: store.Fingerprint(cfg.Selector.Fingerprint()),
-			MaxEntries:  maxEntries,
-			FlushEvery:  cfg.StoreFlushEvery,
-			Registry:    s.m.reg,
-		})
+		st, err := store.Open(opts)
 		if err != nil {
 			return nil, fmt.Errorf("serve: open route store: %w", err)
 		}
@@ -249,21 +249,17 @@ func NewService(cfg Config) (*Service, error) {
 	// copied struct was.
 	s.m.reg.GaugeFunc("serve.queue_depth", func() float64 { return float64(len(s.queue)) })
 	s.m.reg.GaugeFunc("serve.queue_capacity", func() float64 { return float64(cfg.QueueSize) })
-	s.m.reg.GaugeFunc("serve.cache_entries", func() float64 {
-		if s.cache == nil {
+	// serve.cache.size is the canonical name for the cache's entry count
+	// (serve.cache_entries predates it and is kept for dashboards); both
+	// read the store, whose store.entries is the same number.
+	cacheSize := func() float64 {
+		if s.store == nil {
 			return 0
 		}
-		return float64(s.cache.len())
-	})
-	// serve.cache.size is the canonical name for the memory tier's entry
-	// count (serve.cache_entries predates it and is kept for dashboards);
-	// the disk tier's size is store.entries, registered by the store.
-	s.m.reg.GaugeFunc("serve.cache.size", func() float64 {
-		if s.cache == nil {
-			return 0
-		}
-		return float64(s.cache.len())
-	})
+		return float64(s.store.Len())
+	}
+	s.m.reg.GaugeFunc("serve.cache_entries", cacheSize)
+	s.m.reg.GaugeFunc("serve.cache.size", cacheSize)
 	s.m.reg.GaugeFunc("serve.uptime_seconds", func() float64 { return time.Since(s.start).Seconds() })
 	lanes := runtime.GOMAXPROCS(0)
 	s.m.reg.GaugeFunc("serve.lanes", func() float64 { return float64(lanes) })
@@ -369,28 +365,45 @@ func (s *Service) Submit(ctx context.Context, in *layout.Instance) (*Response, e
 	}
 }
 
-// lookup serves a request straight from a cache tier when possible: the
-// memory LRU first, then the persistent store (which promotes its hit into
-// the LRU). Both tiers replay through treeFromEntry's Validate path, so a
-// collision or stale record is a miss, never a wrong tree.
-func (s *Service) lookup(in *layout.Instance, key cacheKey, toCanon grid.Aug, start time.Time) (*Response, bool) {
-	if s.cache != nil {
-		if e, ok := s.cache.get(key); ok {
-			if tree, steiner, ok := treeFromEntry(in, toCanon, e); ok {
-				s.m.cacheHits.Inc()
-				s.m.submitted.Inc()
-				s.m.completed.Inc()
-				resp := s.buildResponse(in, tree, steiner, e.usedSteiner, e.proposed, start)
-				resp.CacheHit = true
-				s.m.latency.Observe(time.Since(start))
-				return resp, true
-			}
-		}
+// lookup serves a request straight from the cache when possible. The
+// record replays through treeFromRecord's Validate path, so a collision or
+// corrupt record is dropped from the store and served as a miss, never as
+// a wrong tree.
+func (s *Service) lookup(in *layout.Instance, key store.Key, toCanon grid.Aug, start time.Time) (*Response, bool) {
+	if s.store == nil {
+		return nil, false
 	}
-	if s.store != nil {
-		return s.lookupStore(in, key, toCanon, start)
+	rec, ok := s.store.Get(key)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	tree, steiner, ok := treeFromRecord(in, toCanon, rec)
+	if !ok {
+		s.store.Drop(key)
+		return nil, false
+	}
+	s.countHits(1)
+	s.m.submitted.Inc()
+	s.m.completed.Inc()
+	resp := s.buildResponse(in, tree, steiner, rec.UsedSteiner, rec.Proposed, start)
+	s.markHit(resp)
+	s.m.latency.Observe(time.Since(start))
+	return resp, true
+}
+
+// countHits counts n requests answered from the cache; on a persistent
+// store every hit is also served by the persistent tier.
+func (s *Service) countHits(n int64) {
+	s.m.cacheHits.Add(n)
+	if s.cfg.StoreDir != "" {
+		s.m.storeServed.Add(n)
+	}
+}
+
+// markHit flags a response answered from the cache.
+func (s *Service) markHit(resp *Response) {
+	resp.CacheHit = true
+	resp.StoreHit = s.cfg.StoreDir != ""
 }
 
 // buildResponse shapes a routed tree into the wire response.
@@ -499,7 +512,7 @@ func (s *Service) processGroup(group []*job) {
 
 	// Dedup by canonical key, preserving arrival order.
 	var reps []*rep
-	byKey := map[cacheKey]*rep{}
+	byKey := map[store.Key]*rep{}
 	for _, j := range group {
 		if r, ok := byKey[j.key]; ok {
 			r.jobs = append(r.jobs, j)
@@ -518,9 +531,9 @@ func (s *Service) processGroup(group []*job) {
 
 // serveRep routes one distinct layout and answers all of its jobs: a cache
 // re-check, the selector's proposal (with transient-failure retry and
-// panic containment), the OARMST construction, then the write-through to
-// both cache tiers. Jobs whose entry mapping fails (hash collision) are
-// re-routed individually.
+// panic containment), the OARMST construction, then the write into the
+// cache. Jobs whose record mapping fails (hash collision) are re-routed
+// individually.
 func (s *Service) serveRep(r *rep, batchSize int) {
 	lead := r.lead()
 	if lead == nil {
@@ -528,12 +541,12 @@ func (s *Service) serveRep(r *rep, batchSize int) {
 		r.shed(s)
 		return
 	}
-	if s.cache != nil {
-		if e, ok := s.cache.get(lead.key); ok {
+	if s.store != nil {
+		if rec, ok := s.store.Get(lead.key); ok {
 			// The layout was routed between enqueue and drain: a cache
 			// hit for every job of the rep.
-			s.m.cacheHits.Add(int64(len(r.jobs)))
-			for _, j := range s.answerFromEntry(r, e, batchSize, true, false) {
+			s.countHits(int64(len(r.jobs)))
+			for _, j := range s.answerFromRecord(r, rec, batchSize, true, false) {
 				s.routeFallback(j, batchSize)
 			}
 			return
@@ -583,17 +596,13 @@ func (s *Service) serveRep(r *rep, batchSize int) {
 		r.errOut(s, err)
 		return
 	}
-	e := entryFromTree(lead.in, lead.toCanon, res.Tree, res.SteinerPoints, res.UsedSteiner, res.Proposed)
-	if !degraded {
+	rec := recordFromTree(lead.in, lead.key, lead.toCanon, res.Tree, res.SteinerPoints, res.UsedSteiner, res.Proposed)
+	if !degraded && s.store != nil {
 		// Never cache a degraded result: a poisoned cache would keep
-		// answering without Steiner points after the fault clears. The
-		// disk tier gets the same write-through, so a restart starts warm.
-		if s.cache != nil {
-			s.cache.add(lead.key, e)
-		}
-		s.storePut(lead.key, e)
+		// answering without Steiner points after the fault clears.
+		s.store.Put(rec)
 	}
-	for _, j := range s.answerFromEntry(r, e, batchSize, false, degraded) {
+	for _, j := range s.answerFromRecord(r, rec, batchSize, false, degraded) {
 		s.routeFallback(j, batchSize)
 	}
 }
@@ -683,25 +692,27 @@ func (r *rep) shed(s *Service) {
 	}
 }
 
-// answerFromEntry maps a canonical-space entry into each requesting job's
-// own orientation and answers it. It returns the jobs whose mapping failed
-// (possible only under a hash collision); the caller re-routes those via
-// routeFallback.
-func (s *Service) answerFromEntry(r *rep, e *cacheEntry, batchSize int, cacheHit, degraded bool) []*job {
+// answerFromRecord maps a canonical-space record into each requesting
+// job's own orientation and answers it. It returns the jobs whose mapping
+// failed (possible only under a hash collision); the caller re-routes
+// those via routeFallback.
+func (s *Service) answerFromRecord(r *rep, rec *store.Record, batchSize int, cacheHit, degraded bool) []*job {
 	var fallback []*job
 	for _, j := range r.jobs {
 		if err := j.ctx.Err(); err != nil {
 			s.finish(j, nil, err)
 			continue
 		}
-		tree, steiner, ok := treeFromEntry(j.in, j.toCanon, e)
+		tree, steiner, ok := treeFromRecord(j.in, j.toCanon, rec)
 		if !ok {
 			fallback = append(fallback, j)
 			continue
 		}
-		resp := s.buildResponse(j.in, tree, steiner, e.usedSteiner, e.proposed, j.enqueued)
+		resp := s.buildResponse(j.in, tree, steiner, rec.UsedSteiner, rec.Proposed, j.enqueued)
 		resp.BatchSize = batchSize
-		resp.CacheHit = cacheHit
+		if cacheHit {
+			s.markHit(resp)
+		}
 		if degraded {
 			resp.Degraded = true
 			s.m.degraded.Inc()

@@ -21,12 +21,9 @@ type metrics struct {
 	rejected    *obs.Counter // submissions shed with ErrQueueFull (HTTP 429)
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
-	// cacheEvictions counts memory-LRU evictions (serve.cache.evictions):
-	// previously the cache recycled entries silently, leaving cache
-	// pressure invisible on /metrics.
-	cacheEvictions *obs.Counter
-	// storeServed counts requests answered from the persistent disk tier
-	// after validation (the store's own store.hits counts index lookups).
+	// storeServed counts requests a persistent cache answered after
+	// validation: every hit when StoreDir is set (the store's own
+	// store.hits counts index lookups).
 	storeServed *obs.Counter
 	batches     *obs.Counter // same-size groups processed
 	batchedJobs *obs.Counter // jobs carried by those groups
@@ -57,7 +54,6 @@ func newMetrics() *metrics {
 		rejected:          reg.Counter("serve.rejected"),
 		cacheHits:         reg.Counter("serve.cache_hits"),
 		cacheMisses:       reg.Counter("serve.cache_misses"),
-		cacheEvictions:    reg.Counter("serve.cache.evictions"),
 		storeServed:       reg.Counter("serve.store_served"),
 		batches:           reg.Counter("serve.batches"),
 		batchedJobs:       reg.Counter("serve.batched_jobs"),
@@ -108,21 +104,21 @@ func (s *Service) Stats() Stats {
 		P50Millis:         float64(m.latency.Percentile(0.50).Microseconds()) / 1000,
 		P99Millis:         float64(m.latency.Percentile(0.99).Microseconds()) / 1000,
 	}
-	st.CacheEvictions = m.cacheEvictions.Load()
-	if s.cache != nil {
-		st.CacheEntries = s.cache.len()
-	}
 	if s.store != nil {
 		ss := s.store.Stats()
-		st.StoreEntries = ss.Entries
-		st.StoreSegments = ss.Segments
-		st.StoreHits = ss.Hits
-		st.StoreMisses = ss.Misses
-		st.StoreServed = m.storeServed.Load()
-		st.StoreWrites = ss.Writes
-		st.StoreCompactions = ss.Compactions
-		st.StoreInvalidations = ss.Invalidations
-		st.StoreEvictions = ss.Evictions
+		st.CacheEntries = ss.Entries
+		st.CacheEvictions = ss.Evictions
+		if s.cfg.StoreDir != "" {
+			st.StoreEntries = ss.Entries
+			st.StoreSegments = ss.Segments
+			st.StoreHits = ss.Hits
+			st.StoreMisses = ss.Misses
+			st.StoreServed = m.storeServed.Load()
+			st.StoreWrites = ss.Writes
+			st.StoreCompactions = ss.Compactions
+			st.StoreInvalidations = ss.Invalidations
+			st.StoreEvictions = ss.Evictions
+		}
 	}
 	if st.Batches > 0 {
 		st.MeanBatch = float64(st.BatchedJobs) / float64(st.Batches)

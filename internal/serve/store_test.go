@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -142,12 +143,11 @@ func TestStoreHitAcrossOrientationsAfterRestart(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionCounterAndTierSizes covers the new observability: the
-// memory LRU's evictions surface on serve.cache.evictions / /stats, and
-// both tiers' sizes appear side by side in the snapshot.
-func TestCacheEvictionCounterAndTierSizes(t *testing.T) {
-	dir := t.TempDir()
-	s := newTestService(t, Config{Selector: tinySelector(t), CacheSize: 2, StoreDir: dir})
+// TestCacheEvictionCounter: the one cache tier's LRU bound evicts the
+// coldest layouts, and the evictions and the cache size surface on /stats
+// and on the store.evictions / serve.cache.size instruments.
+func TestCacheEvictionCounter(t *testing.T) {
+	s := newTestService(t, Config{Selector: tinySelector(t), CacheSize: 2})
 	for i := 0; i < 5; i++ {
 		if _, err := s.Submit(context.Background(), serveInstance(t, int64(400+i), 6, 6, 2, 4)); err != nil {
 			t.Fatal(err)
@@ -160,19 +160,121 @@ func TestCacheEvictionCounterAndTierSizes(t *testing.T) {
 	if st.CacheEntries != 2 {
 		t.Errorf("cacheEntries = %d, want 2", st.CacheEntries)
 	}
-	if st.StoreEntries != 5 { // disk tier is not bounded by the memory LRU
-		t.Errorf("storeEntries = %d, want 5", st.StoreEntries)
-	}
-	// The canonical gauges are registered and live.
 	snap := s.Registry().Snapshot()
 	if got := snap.Gauges["serve.cache.size"]; got != 2 {
 		t.Errorf("serve.cache.size gauge = %v, want 2", got)
 	}
-	if got := snap.Counters["serve.cache.evictions"]; got != 3 {
-		t.Errorf("serve.cache.evictions counter = %v, want 3", got)
+	if got := snap.Counters["store.evictions"]; got != 3 {
+		t.Errorf("store.evictions counter = %v, want 3", got)
 	}
-	if got := snap.Gauges["store.entries"]; got != 5 {
-		t.Errorf("store.entries gauge = %v, want 5", got)
+	if _, ok := snap.Counters["serve.cache.evictions"]; ok {
+		t.Error("serve.cache.evictions still registered beside store.evictions")
+	}
+}
+
+// TestStoreWarmRestartCountsHits: every request a warm-restarted daemon
+// answers from disk is a cache hit in the counters, so its hit rate reads
+// 1 rather than 0.
+func TestStoreWarmRestartCountsHits(t *testing.T) {
+	dir := t.TempDir()
+	cold := newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir})
+	ins := make([]*layout.Instance, 4)
+	for i := range ins {
+		ins[i] = serveInstance(t, int64(500+i), 6, 7, 2, 4)
+		if _, err := cold.Submit(context.Background(), ins[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cold.Close()
+
+	warm := newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir})
+	for _, in := range ins {
+		if _, err := warm.Submit(context.Background(), in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := warm.Stats()
+	if st.CacheHits != int64(len(ins)) || st.CacheMisses != 0 {
+		t.Errorf("cacheHits/misses = %d/%d, want %d/0", st.CacheHits, st.CacheMisses, len(ins))
+	}
+	if st.CacheHitRate != 1 {
+		t.Errorf("cacheHitRate = %v, want 1", st.CacheHitRate)
+	}
+	if st.StoreServed != int64(len(ins)) {
+		t.Errorf("storeServed = %d, want %d", st.StoreServed, len(ins))
+	}
+}
+
+// TestMemoryAndDiskCacheAgree is the differential test of the one cache
+// tier: a scripted sequence — 20 layouts in all 16 orientations, repeats,
+// evictions through an 8-entry bound and, for the disk-backed service, a
+// restart — gives identical responses from a memory-only service and a
+// disk-backed one. Only StoreHit and the timings may differ.
+func TestMemoryAndDiskCacheAgree(t *testing.T) {
+	const layouts, bound = 20, 8
+	ins := make([]*layout.Instance, layouts)
+	for i := range ins {
+		ins[i] = serveInstance(t, int64(600+i), 6, 7, 2, 3+i%3)
+	}
+	dir := t.TempDir()
+	mem := newTestService(t, Config{Selector: tinySelector(t), CacheSize: bound})
+	disk := newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir, StoreMaxEntries: bound})
+
+	step := 0
+	submit := func(in *layout.Instance) {
+		t.Helper()
+		step++
+		a, err := mem.Submit(context.Background(), in)
+		if err != nil {
+			t.Fatalf("step %d: memory-only: %v", step, err)
+		}
+		b, err := disk.Submit(context.Background(), in)
+		if err != nil {
+			t.Fatalf("step %d: disk-backed: %v", step, err)
+		}
+		if math.Float64bits(a.Cost) != math.Float64bits(b.Cost) || a.CacheHit != b.CacheHit ||
+			!reflect.DeepEqual(a.Edges, b.Edges) || !reflect.DeepEqual(a.SteinerPoints, b.SteinerPoints) {
+			t.Fatalf("step %d: memory-only cost=%v hit=%v, disk-backed cost=%v hit=%v, or trees differ",
+				step, a.Cost, a.CacheHit, b.Cost, b.CacheHit)
+		}
+		if b.StoreHit != b.CacheHit || a.StoreHit {
+			t.Fatalf("step %d: StoreHit memory-only=%v disk-backed=%v, CacheHit %v",
+				step, a.StoreHit, b.StoreHit, b.CacheHit)
+		}
+	}
+	allOrientations := func(in *layout.Instance) {
+		for _, a := range grid.AllAugmentations() {
+			submit(augmentInstance(in, a))
+		}
+	}
+	touch := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			submit(ins[i])
+		}
+	}
+
+	for i := 0; i < bound; i++ {
+		allOrientations(ins[i])
+	}
+	touch(0, bound)
+
+	// Restart the disk-backed service. Reloading orders records by
+	// segment and key, so one touch of every layout restores the same
+	// recency order in both before any eviction.
+	disk.Close()
+	disk = newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir, StoreMaxEntries: bound})
+	touch(0, bound)
+
+	for i := bound; i < layouts; i++ {
+		allOrientations(ins[i]) // every new layout evicts the coldest
+	}
+	touch(0, layouts) // evicted layouts miss and are re-routed
+	touch(0, layouts)
+
+	ms, ds := mem.Stats(), disk.Stats()
+	if ms.CacheEvictions == 0 || ms.CacheEntries != bound || ds.CacheEntries != bound {
+		t.Errorf("memory-only evictions=%d entries=%d, disk-backed entries=%d; want evictions and %d entries",
+			ms.CacheEvictions, ms.CacheEntries, ds.CacheEntries, bound)
 	}
 }
 

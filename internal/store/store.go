@@ -1,6 +1,9 @@
-// Package store is the persistent, content-addressed route store behind
-// internal/serve: the disk tier that lets a restarted daemon serve
-// previously-routed layouts without re-running the selector.
+// Package store is the content-addressed route cache behind
+// internal/serve: the one tier every served hit comes from. With a
+// directory it is also persistent, so a restarted daemon serves
+// previously-routed layouts without re-running the selector; without one
+// it is a memory-only LRU with the same Get/Put/Drop behaviour and
+// instruments.
 //
 // Layout of the store: an in-memory index (key → canonical-space Record,
 // kept in recency order) over append-only segment files on disk. Every
@@ -27,7 +30,7 @@
 // mismatched record at load — a retrained model can never serve a stale
 // route. Validation of individual records against a requesting layout is
 // the caller's job (internal/serve replays records through its
-// treeFromEntry Validate path and calls Drop on failures), so a hash
+// treeFromRecord Validate path and calls Drop on failures), so a hash
 // collision degrades to a miss.
 //
 // The store never reads the wall clock on the data path — segment bytes
@@ -43,13 +46,13 @@ import (
 	"sync"
 	"time"
 
-	"oarsmt/internal/errs"
 	"oarsmt/internal/obs"
 )
 
 // Options parameterises Open.
 type Options struct {
-	// Dir is the segment directory, created if needed. Required.
+	// Dir is the segment directory, created if needed. Empty means a
+	// memory-only store: no files, no flusher, nothing queued for writing.
 	Dir string
 	// Fingerprint is the serving selector's weight hash; records stored
 	// under any other fingerprint are invalidated at Open.
@@ -128,14 +131,9 @@ type Store struct {
 // When the load left garbage behind — corrupt segments, invalidated
 // records, or more segments than CompactAfter — the directory is compacted
 // before Open returns, so a model swap immediately reclaims the disk.
+// An empty opts.Dir opens an empty memory-only store.
 func Open(opts Options) (*Store, error) {
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("%w: store: Options.Dir is required", errs.ErrInvalidConfig)
-	}
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, err
-	}
 	s := &Store{
 		opts:     opts,
 		items:    make(map[Key]*list.Element),
@@ -146,6 +144,13 @@ func Open(opts Options) (*Store, error) {
 		loopDone: make(chan struct{}),
 	}
 	s.register(opts.Registry)
+	if opts.Dir == "" {
+		close(s.loopDone) // no flusher for Close to join
+		return s, nil
+	}
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, err
+	}
 
 	entries, err := listSegments(opts.Dir)
 	if err != nil {
@@ -237,6 +242,9 @@ func (s *Store) Put(r *Record) {
 		return
 	}
 	s.insertLocked(r)
+	if s.opts.Dir == "" {
+		return
+	}
 	if !s.queued[r.Key] {
 		s.queued[r.Key] = true
 		s.pending = append(s.pending, r.Key)
@@ -406,7 +414,7 @@ func (s *Store) flushLoop() {
 // flushLocked writes the pending records (those still live in the index)
 // as one new segment, sorted by key so segment bytes are deterministic.
 func (s *Store) flushLocked() error {
-	if len(s.pending) == 0 {
+	if len(s.pending) == 0 { // always so for a memory-only store
 		return nil
 	}
 	recs := make([]*Record, 0, len(s.pending))
@@ -440,6 +448,9 @@ func (s *Store) flushLocked() error {
 // records are part of the index, so a compaction also lands (and counts)
 // the unflushed batch.
 func (s *Store) compactLocked() error {
+	if s.opts.Dir == "" {
+		return nil
+	}
 	start := s.opts.now()
 	landed := 0
 	for _, k := range s.pending {

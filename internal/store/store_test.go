@@ -423,6 +423,9 @@ func TestStoreClosedOps(t *testing.T) {
 func TestStoreSegmentBytesDeterministic(t *testing.T) {
 	write := func(dir string) []byte {
 		opts := testOptions(t, dir)
+		// Six records stay below FlushEvery, so the one segment is Close's:
+		// at testOptions' 4 the background flusher could split the batch.
+		opts.FlushEvery = 8
 		s := mustOpen(t, opts)
 		for i := 5; i >= 0; i-- { // insertion order must not matter
 			s.Put(testRecord(i))
@@ -444,5 +447,68 @@ func TestStoreSegmentBytesDeterministic(t *testing.T) {
 	b := write(filepath.Join(t.TempDir(), "b"))
 	if !bytes.Equal(a, b) {
 		t.Error("same records produced different segment bytes")
+	}
+}
+
+// TestStoreMemoryOnly pins the empty-Dir mode: it touches no file, keeps
+// the same Get/Put/Drop and LRU behaviour as a persistent store, and queues
+// nothing for writing however many records pass through it.
+func TestStoreMemoryOnly(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	if err := os.Chdir(tmp); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+
+	s, err := Open(Options{MaxEntries: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		s.Put(testRecord(i))
+	}
+	s.Get(testRecord(2).Key) // refresh: 3 is now the coldest
+	s.Put(testRecord(6))
+	for i, want := range []bool{false, false, true, false, true, true, true} {
+		r, ok := s.Get(testRecord(i).Key)
+		if ok != want {
+			t.Errorf("record %d live = %v, want %v", i, ok, want)
+		} else if ok && !recordsEqual(r, testRecord(i)) {
+			t.Errorf("record %d changed in the store", i)
+		}
+	}
+	s.Drop(testRecord(6).Key)
+	if _, ok := s.Get(testRecord(6).Key); ok {
+		t.Error("dropped record still served")
+	}
+	st := s.Stats()
+	if st.Evictions != 3 || st.Invalidations != 1 || st.Entries != 3 {
+		t.Errorf("evictions/invalidations/entries = %d/%d/%d, want 3/1/3", st.Evictions, st.Invalidations, st.Entries)
+	}
+
+	for i := 0; i < 10000; i++ {
+		s.Put(testRecord(i))
+	}
+	if st := s.Stats(); st.PendingWrites != 0 || st.Writes != 0 || st.Segments != 0 || st.Entries != 4 {
+		t.Errorf("after 10000 Puts: %+v, want 4 entries and nothing pending, written or segmented", st)
+	}
+	if err := s.Flush(); err != nil {
+		t.Errorf("Flush = %v", err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Errorf("Compact = %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("Close = %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("second Close = %v", err)
+	}
+	if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
+		t.Errorf("working directory after a memory-only store: %v, %v; want empty", ents, err)
 	}
 }

@@ -9,14 +9,11 @@ type Coord3 struct {
 	M int `json:"m"`
 }
 
-// RouteRequest is the typed body of POST /v1/route. It replaces the
-// legacy convention of a bare layout body plus ?timeout= / ?edges= query
-// parameters: the options are fields now, so they version with the
-// protocol.
+// RouteRequest is the typed body of POST /v1/route. The per-request
+// options are fields, so they version with the protocol.
 type RouteRequest struct {
 	// Layout is the layout to route, in the layout JSON format (grid or
-	// geometric form — exactly the bytes the legacy endpoint took as its
-	// whole body).
+	// geometric form).
 	Layout json.RawMessage `json:"layout"`
 	// TimeoutMillis caps the server-side routing deadline for this
 	// request; 0 leaves the server default in force.
@@ -44,8 +41,8 @@ type RouteResponse struct {
 	// service returns to normal answers as soon as inference recovers.
 	Degraded bool `json:"degraded"`
 	CacheHit bool `json:"cacheHit"`
-	// StoreHit reports that the answer came from the persistent disk tier
-	// (and was promoted into the memory cache); CacheHit is also set.
+	// StoreHit reports that a cache hit came from a persistent cache (a
+	// worker started with -store-dir); CacheHit is also set.
 	StoreHit      bool    `json:"storeHit,omitempty"`
 	BatchSize     int     `json:"batchSize"`
 	ElapsedMillis float64 `json:"elapsedMillis"`
@@ -60,7 +57,7 @@ type RouteResponse struct {
 	Hedged bool `json:"hedged,omitempty"`
 }
 
-// ReplicateRequest installs a finished route into a worker's cache tiers
+// ReplicateRequest installs a finished route into a worker's cache
 // (POST /v1/replicate). The coordinator sends it to the next distinct
 // ring replica after a fresh non-degraded answer, so a shard's warm set
 // survives the death of its owner. The receiving worker re-validates the
@@ -87,9 +84,10 @@ type Stats struct {
 	UptimeSeconds float64 `json:"uptimeSeconds"`
 	QueueDepth    int     `json:"queueDepth"`
 	QueueCapacity int     `json:"queueCapacity"`
-	// CacheEntries / CacheEvictions describe the memory tier; the Store*
-	// fields mirror the persistent disk tier (zero when -store-dir is
-	// unset), so /stats shows both tiers' sizes side by side.
+	// CacheEntries / CacheEvictions describe the worker's one cache tier.
+	// The Store* fields describe the same tier's persistence and are
+	// filled only when it is on disk (-store-dir); StoreEntries then
+	// equals CacheEntries.
 	CacheEntries   int   `json:"cacheEntries"`
 	CacheEvictions int64 `json:"cacheEvictions"`
 

@@ -16,10 +16,8 @@
 // header; servers accept any version in [MinVersion, Version] and reject
 // others with ErrUnsupportedProto (HTTP 400, code "unsupported_proto").
 // Responses always carry the server's own version in the same header, so
-// a client can detect a newer server. The unversioned legacy paths
-// (LegacyPathRoute, ...) predate this package and survive as thin
-// deprecated aliases of the /v1 handlers; see API.md for the
-// deprecation policy.
+// a client can detect a newer server. See API.md for the deprecation
+// policy.
 package wire
 
 import (
@@ -51,7 +49,7 @@ const (
 	PathMetrics = "/v1/metrics"
 
 	// PathReplicate installs an already-routed answer into a worker's
-	// cache tiers (write-through replication from the coordinator).
+	// cache (write-through replication from the coordinator).
 	PathReplicate = "/v1/replicate"
 
 	// Cluster-plane paths, served by the coordinator.
@@ -59,19 +57,6 @@ const (
 	PathLease    = "/v1/cluster/lease"
 	PathDrain    = "/v1/cluster/drain"
 )
-
-// Legacy unversioned paths, kept as deprecated aliases of the /v1
-// handlers. New code must use the versioned paths.
-const (
-	LegacyPathRoute   = "/route"
-	LegacyPathHealthz = "/healthz"
-	LegacyPathStats   = "/stats"
-	LegacyPathMetrics = "/metrics"
-)
-
-// DeprecationHeader is set on responses served from a legacy unversioned
-// path; its value names the versioned replacement.
-const DeprecationHeader = "X-Oarsmt-Deprecated"
 
 // Sentinels of the wire layer itself. They complete the internal/errs
 // table for conditions that only exist at the serving surface.
