@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short bench bench-gate bench-all bench-fault bench-store check check-fast fma-check crash-test chaos-test chaos-test-short lint lint-cold fuzz vet experiments examples train train-resume serve serve-smoke store-smoke cluster-smoke clean
+.PHONY: all build test test-short bench bench-gate bench-all bench-fault bench-store check check-fast fma-check crash-test chaos-test chaos-test-short lint lint-cold fuzz vet experiments examples train train-resume serve clean
 
 all: build test
 
@@ -46,14 +46,18 @@ check: vet lint fma-check
 # Fused multiply-add guard. The Go spec lets the compiler fuse x*y + z,
 # which would make float results differ between architectures; every
 # accumulating product is written s += F(x*y) to forbid it. This
-# cross-compiles the daemon for arm64 and for amd64 v3 (both have FMA
-# instructions) and fails if any oarsmt/ function contains one.
+# cross-compiles the daemon and the trainer for arm64 and for amd64 v3
+# (both have FMA instructions) and fails if any oarsmt/ function contains
+# one.
 FMA_RE = FMADD|FMSUB|FNMADD|FNMSUB|VFMADD|VFMSUB|VFNM
+FMA_BINS = oarsmt-serve oarsmt-train
 
 fma-check:
-	GOARCH=arm64 go build -o bin/oarsmt-serve-arm64 ./cmd/oarsmt-serve
-	GOARCH=amd64 GOAMD64=v3 go build -o bin/oarsmt-serve-amd64v3 ./cmd/oarsmt-serve
-	@fail=0; for b in bin/oarsmt-serve-arm64 bin/oarsmt-serve-amd64v3; do \
+	@for c in $(FMA_BINS); do \
+		GOARCH=arm64 go build -o bin/$$c-arm64 ./cmd/$$c && \
+		GOARCH=amd64 GOAMD64=v3 go build -o bin/$$c-amd64v3 ./cmd/$$c || exit 1; \
+	done
+	@fail=0; for b in $(foreach c,$(FMA_BINS),bin/$(c)-arm64 bin/$(c)-amd64v3); do \
 		hits=$$(go tool objdump -s '^oarsmt/' $$b | awk '/^TEXT /{fn=$$2} /$(FMA_RE)/{print fn ": " $$0}'); \
 		if [ -n "$$hits" ]; then echo "$$b: fused multiply-add in oarsmt code:"; echo "$$hits"; fail=1; \
 		else echo "$$b: no fused multiply-add in oarsmt code"; fi; \
@@ -66,10 +70,11 @@ check-fast: vet lint
 # Deterministic chaos suite. First the unit layer under the race detector
 # (breakers, coordinator state recovery, replication, agent backoff,
 # transport partitions), then the multi-process harness: a race-built
-# daemon is tortured through six scripted scenarios — worker SIGKILL
+# daemon is tortured through seven scripted scenarios — worker SIGKILL
 # under load, coordinator crash + ckpt restore, agent partition, slow
-# shard hedging, store-segment corruption, and a flapping worker
-# tripping its breaker. Fault schedules ship to the children via
+# shard hedging, warm restart then store-segment corruption, a flapping
+# worker tripping its breaker, and a worker drain under fire with a
+# clean shutdown of the fleet. Fault schedules ship to the children via
 # OARSMT_FAULTS, so every run is deterministic. Writes BENCH_chaos.json.
 chaos-test:
 	go test -race -count=1 ./internal/cluster \
@@ -81,14 +86,16 @@ chaos-test:
 	go build -o bin/oarsmt-chaos ./cmd/oarsmt-chaos
 	bin/oarsmt-chaos -bin bin/oarsmt-serve-race -json BENCH_chaos.json
 
-# Short chaos subset run by `make check`: two end-to-end scenarios
-# against the race-built daemon — the worker kill with replica fan-out,
-# and the store-backed cache surviving a kill, a byte flipped in a
-# segment, and a restart.
+# Short chaos subset run by `make check`: three end-to-end scenarios
+# against the race-built daemon — the worker kill with replica fan-out;
+# the store-backed cache serving a warm restart from disk, then
+# surviving a byte flipped in a segment, then draining to exit 0; and a
+# 3-worker cluster's shard affinity, spread, worker drain under fire and
+# clean shutdown.
 chaos-test-short:
 	go build -race -o bin/oarsmt-serve-race ./cmd/oarsmt-serve
 	go build -o bin/oarsmt-chaos ./cmd/oarsmt-chaos
-	bin/oarsmt-chaos -bin bin/oarsmt-serve-race -run 'worker-kill|corrupt-store'
+	bin/oarsmt-chaos -bin bin/oarsmt-serve-race -run 'worker-kill|corrupt-store|drain'
 
 # Fault-tolerance suite under the race detector: checkpoint frame
 # corruption/torn-write recovery, kill-and-resume bit-identity, injected
@@ -111,7 +118,6 @@ bench:
 	OARSMT_WORKERS=0 go test -run='^$$' -bench=. -benchmem -count=3 $(BENCH_PKGS) | tee bench_serial.txt
 	go test -run='^$$' -bench=. -benchmem -count=3 $(BENCH_PKGS) | tee bench_parallel.txt
 	go run ./cmd/oarsmt-benchjson -serial bench_serial.txt -parallel bench_parallel.txt -o BENCH_tensor.json
-	go run ./cmd/oarsmt-bench -exp obs -obs-out BENCH_obs.json
 	$(MAKE) bench-store
 
 # Route-store latency/throughput report: cold vs warm route latency (serve)
@@ -161,33 +167,6 @@ experiments:
 serve:
 	go run ./cmd/oarsmt-serve
 
-# End-to-end serving smoke test: build the daemon, start it on a free
-# port, check /v1/healthz, route a layout (twice; the repeat must hit the
-# cache), then SIGTERM it and verify the graceful drain exits 0.
-serve-smoke:
-	go build -o bin/oarsmt-serve ./cmd/oarsmt-serve
-	go run ./cmd/oarsmt-smoke -bin bin/oarsmt-serve
-
-# End-to-end cluster smoke test: coordinator + 3 registered workers;
-# verifies shard affinity (the repeat of a layout is its shard's cache
-# hit), spread across workers, a SIGTERM'd worker draining with zero
-# dropped requests while requests are in flight, and writes the
-# throughput/latency curve from oarsmt-loadgen to BENCH_cluster.json.
-cluster-smoke:
-	go build -o bin/oarsmt-serve ./cmd/oarsmt-serve
-	go build -o bin/oarsmt-loadgen ./cmd/oarsmt-loadgen
-	go run ./cmd/oarsmt-smoke -bin bin/oarsmt-serve -cluster 3 \
-		-loadgen bin/oarsmt-loadgen -bench BENCH_cluster.json
-
-# End-to-end warm-restart smoke test: route through a store-backed daemon,
-# SIGKILL it, restart it over the same -store-dir, and verify the layout is
-# served from disk bit-identically with zero selector inferences.
-store-smoke:
-	go build -o bin/oarsmt-serve ./cmd/oarsmt-serve
-	rm -rf bin/store-smoke-dir
-	go run ./cmd/oarsmt-smoke -bin bin/oarsmt-serve -store-dir bin/store-smoke-dir
-	rm -rf bin/store-smoke-dir
-
 examples:
 	go run ./examples/quickstart
 	go run ./examples/multilayer
@@ -209,7 +188,7 @@ train-resume:
 
 clean:
 	rm -f test_output.txt bench_output.txt train-metrics.csv \
-		bench_serial.txt bench_parallel.txt BENCH_tensor.json BENCH_obs.json \
+		bench_serial.txt bench_parallel.txt BENCH_tensor.json \
 		bench_fault_serial.txt bench_fault_parallel.txt BENCH_fault.json \
 		bench_store_serial.txt bench_store_parallel.txt BENCH_store.json
-	rm -rf train-ckpts bin/store-smoke-dir .lintcache
+	rm -rf train-ckpts .lintcache

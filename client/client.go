@@ -9,8 +9,8 @@
 // retry backoff on transient failures, and optional hedged routing.
 //
 // Nothing else in the repository issues raw HTTP to serve endpoints;
-// the coordinator, the smoke and load-generation tools, and the serving
-// tests all go through this package.
+// the coordinator, the chaos harness, the serving benchmark and the
+// serving tests all go through this package.
 package client
 
 import (

@@ -7,8 +7,9 @@
 //	oarsmt-bench -exp fig11 -scale medium
 //	oarsmt-bench -exp all -scale small -model selector.gob
 //
-// Experiments: table1, table2, table3, fig10 (these three share one
-// evaluation pass), table4, fig11, fig12, speedups, ablation, all.
+// Experiments (comma-separated; an unknown name is an error): table1,
+// table2, table3, fig10 (these three share one evaluation pass), table4,
+// fig11, fig12, speedups, ablation, optgap, all.
 // Scales: small (seconds-minutes), medium (minutes), paper (the paper's
 // own counts; impractical on one CPU, provided for completeness).
 package main
@@ -20,6 +21,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"oarsmt/internal/experiments"
@@ -33,16 +35,19 @@ func main() {
 	log.SetPrefix("oarsmt-bench: ")
 
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1,table2,table3,table4,fig10,fig11,fig12,speedups,ablation,optgap,obs,all")
+		exp       = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experimentNames, ","))
 		scaleFlag = flag.String("scale", "small", "small, medium or paper")
 		modelPath = flag.String("model", "", "trained selector (default: the embedded pretrained model)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		csvDir    = flag.String("csv", "", "directory to also dump raw series as CSV files")
 		workers   = flag.Int("workers", 0, "worker goroutines for the compute pool (0 = OARSMT_WORKERS or GOMAXPROCS)")
 		tracePath = flag.String("trace", "", "write a JSON span tree of the benchmark run to this file")
-		obsOut    = flag.String("obs-out", "BENCH_obs.json", "output path for the -exp obs stage-timing report")
 	)
 	flag.Parse()
+	wants, err := parseExps(*exp)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *workers > 0 {
 		parallel.SetWorkers(*workers)
 	}
@@ -73,10 +78,6 @@ func main() {
 		log.Print("no -model given: using the embedded pretrained selector")
 	}
 
-	wants := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		wants[strings.TrimSpace(e)] = true
-	}
 	all := wants["all"]
 
 	if all || wants["table1"] {
@@ -166,28 +167,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if all || wants["obs"] {
-		n := 8
-		if scale >= experiments.ScaleMedium {
-			n = 32
-		}
-		rep, err := experiments.StageBench(opts, n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		f, err := os.Create(*obsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := experiments.WriteObsBenchJSON(f, rep); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", *obsOut)
-	}
 	if trace != nil {
 		f, err := os.Create(*tracePath)
 		if err != nil {
@@ -202,6 +181,24 @@ func main() {
 		}
 		log.Printf("wrote span trace to %s", *tracePath)
 	}
+}
+
+// experimentNames are the values -exp accepts.
+var experimentNames = []string{"table1", "table2", "table3", "fig10", "table4",
+	"fig11", "fig12", "speedups", "ablation", "optgap", "all"}
+
+// parseExps splits a comma-separated -exp value into the set of
+// experiments to run; an unknown name is an error listing the valid ones.
+func parseExps(s string) (map[string]bool, error) {
+	wants := map[string]bool{}
+	for _, e := range strings.Split(s, ",") {
+		e = strings.TrimSpace(e)
+		if !slices.Contains(experimentNames, e) {
+			return nil, fmt.Errorf("-exp: unknown experiment %q (valid: %s)", e, strings.Join(experimentNames, ", "))
+		}
+		wants[e] = true
+	}
+	return wants, nil
 }
 
 // writeCSV writes one CSV artefact into dir (no-op when dir is empty).

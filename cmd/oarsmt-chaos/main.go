@@ -1,13 +1,15 @@
 // oarsmt-chaos is the deterministic chaos harness driven by `make
-// chaos-test`: scripted multi-process failure scenarios against a real
-// oarsmt-serve cluster — worker SIGKILL under load, coordinator crash
-// and ckpt recovery, an agent-side network partition, a slow shard, a
-// corrupted store segment, and a flapping worker tripping its circuit
-// breaker. Faults inside the child processes are armed through the
-// OARSMT_FAULTS environment spec (internal/fault), so every scenario's
-// failure schedule is deterministic; the only nondeterminism left is
-// scheduling, which the assertions bound in lease periods rather than
-// wall seconds.
+// chaos-test`, and the one tool that drives real daemon processes:
+// scripted multi-process failure scenarios against a real oarsmt-serve
+// cluster — worker SIGKILL under load, coordinator crash and ckpt
+// recovery, an agent-side network partition, a slow shard, a warm
+// restart and then a corrupted store segment, a flapping worker tripping
+// its circuit breaker, and a graceful worker drain under fire followed
+// by a clean shutdown of the whole fleet. Faults inside the child
+// processes are armed through the OARSMT_FAULTS environment spec
+// (internal/fault), so every scenario's failure schedule is
+// deterministic; the only nondeterminism left is scheduling, which the
+// assertions bound in lease periods rather than wall seconds.
 //
 // Every scenario asserts the chaos invariants:
 //
@@ -18,7 +20,8 @@
 //     cost of the same layout (workers re-validate replicated and
 //     store-recovered trees server-side);
 //   - bounded recovery: the cluster is healthy again within a small
-//     number of lease periods, recorded per scenario.
+//     number of lease periods, recorded per scenario;
+//   - clean exits: a SIGTERMed daemon drains and exits 0.
 //
 // Usage:
 //
@@ -29,16 +32,20 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"oarsmt/client"
@@ -104,6 +111,7 @@ func main() {
 		{"slow-shard", scenarioSlowShard},
 		{"corrupt-store", scenarioCorruptStore},
 		{"flap", scenarioFlap},
+		{"drain", scenarioDrain},
 	}
 	var sel *regexp.Regexp
 	if *runPat != "" {
@@ -139,6 +147,9 @@ func main() {
 		rep.Scenarios = append(rep.Scenarios, r)
 	}
 	rep.Seconds = time.Since(start).Seconds()
+	if len(rep.Scenarios) == 0 {
+		log.Fatalf("-run %q matched no scenarios", *runPat)
+	}
 
 	if *jsonOut != "" {
 		b, err := json.MarshalIndent(rep, "", "  ")
@@ -152,9 +163,6 @@ func main() {
 	}
 	if !rep.Pass {
 		os.Exit(1)
-	}
-	if len(rep.Scenarios) == 0 {
-		log.Fatalf("-run %q matched no scenarios", *runPat)
 	}
 	log.Print("PASS")
 }
@@ -216,9 +224,21 @@ func (h *harness) start(addr, faults string, extra ...string) (*daemon, error) {
 	//oarsmt:allow rawgo(chaos-test plumbing: waits on the child daemon process, no routing state involved)
 	go func() { d.exited <- cmd.Wait() }()
 	h.daemons = append(h.daemons, d)
-	if err := waitHealthy(d.cl, d.exited); err != nil {
+	// The startup race between the child binding its port and the first
+	// probe resolves on the same bounded backoff on any box.
+	var lastErr error
+	err = poll(func() (bool, error) {
+		select {
+		case err := <-d.exited:
+			return false, fmt.Errorf("daemon exited before becoming healthy: %v", err)
+		default:
+		}
+		lastErr = cl.Healthz(context.Background())
+		return lastErr == nil, nil
+	})
+	if err != nil {
 		cmd.Process.Kill()
-		return nil, err
+		return nil, fmt.Errorf("health: %w (last err: %v)", err, lastErr)
 	}
 	return d, nil
 }
@@ -233,6 +253,23 @@ func (d *daemon) kill() error {
 		return nil
 	case <-time.After(60 * time.Second):
 		return fmt.Errorf("daemon survived SIGKILL for 60s")
+	}
+}
+
+// drain SIGTERMs the daemon and requires the graceful drain to end in a
+// clean exit 0.
+func (d *daemon) drain() error {
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		return fmt.Errorf("SIGTERM: %w", err)
+	}
+	select {
+	case err := <-d.exited:
+		if err != nil {
+			return fmt.Errorf("daemon exited non-zero after SIGTERM: %v", err)
+		}
+		return nil
+	case <-time.After(60 * time.Second):
+		return fmt.Errorf("daemon did not exit within 60s of SIGTERM")
 	}
 }
 
@@ -539,11 +576,14 @@ func scenarioSlowShard(h *harness) error {
 	return nil
 }
 
-// scenarioCorruptStore: flip a byte in a persistent store segment
-// between a SIGKILL and a warm restart. The worker must come up, and
-// the re-routed layout must cost exactly what it did before — the
-// store's checksums and the serve-side tree validation make corruption
-// a cache miss, never a wrong answer.
+// scenarioCorruptStore: a store-backed worker is SIGKILLed twice. The
+// first restart, over the intact directory, must serve the layout from
+// disk: a store hit, bit-identical to the cold route, with zero selector
+// inferences. The second restart follows a byte flipped in a segment and
+// must still cost exactly what it did before — the store's checksums and
+// the serve-side tree validation make corruption a cache miss, never a
+// wrong answer. A final SIGTERM must drain the standalone daemon to a
+// clean exit 0.
 func scenarioCorruptStore(h *harness) error {
 	dir, err := os.MkdirTemp("", "oarsmt-chaos-store-")
 	if err != nil {
@@ -559,13 +599,44 @@ func scenarioCorruptStore(h *harness) error {
 	if err != nil {
 		return err
 	}
-	if err := waitStat(func() bool {
+	if first.StoreHit {
+		return fmt.Errorf("cold route reported a store hit")
+	}
+	// A SIGKILL gives the daemon no chance to flush: the segment write
+	// must land before the plug is pulled.
+	if err := poll(func() (bool, error) {
 		st, err := cold.cl.Stats(context.Background())
-		return err == nil && st.StoreWrites > 0
+		return err == nil && st.StoreWrites > 0, nil
 	}); err != nil {
 		return fmt.Errorf("store write never landed: %w", err)
 	}
 	if err := cold.kill(); err != nil {
+		return err
+	}
+
+	warm, err := h.start("", "", "-store-dir", dir)
+	if err != nil {
+		return fmt.Errorf("warm restart: %w", err)
+	}
+	second, err := h.route(warm.cl, chaosLayout, true)
+	if err != nil {
+		return fmt.Errorf("route after warm restart: %w", err)
+	}
+	if !second.StoreHit || !second.CacheHit {
+		return fmt.Errorf("warm restart missed the store: %+v", second)
+	}
+	if math.Float64bits(second.Cost) != math.Float64bits(first.Cost) || !reflect.DeepEqual(second.Edges, first.Edges) {
+		return fmt.Errorf("warm tree (cost %v) differs from cold tree (cost %v)", second.Cost, first.Cost)
+	}
+	st, err := warm.cl.Stats(context.Background())
+	if err != nil {
+		return err
+	}
+	if st.Inferences != 0 || st.CacheHits < 1 || st.StoreServed < 1 || st.StoreEntries < 1 {
+		return fmt.Errorf("warm restart stats: %d inferences (want 0), %d cache hits, %d served, %d entries (want >= 1)",
+			st.Inferences, st.CacheHits, st.StoreServed, st.StoreEntries)
+	}
+	if err := warm.kill(); err != nil {
 		return err
 	}
 	killedAt := time.Now()
@@ -574,11 +645,11 @@ func scenarioCorruptStore(h *harness) error {
 	if err != nil {
 		return err
 	}
-	warm, err := h.start("", "", "-store-dir", dir)
+	last, err := h.start("", "", "-store-dir", dir)
 	if err != nil {
 		return fmt.Errorf("restart over corrupted store: %w", err)
 	}
-	resp, err := h.route(warm.cl, chaosLayout, true)
+	resp, err := h.route(last.cl, chaosLayout, true)
 	if err != nil {
 		return fmt.Errorf("route after corruption: %w", err)
 	}
@@ -589,8 +660,11 @@ func scenarioCorruptStore(h *harness) error {
 	if len(resp.Edges) == 0 || resp.Degraded {
 		return fmt.Errorf("degenerate post-corruption response: %+v", resp)
 	}
-	h.res.Detail = fmt.Sprintf("flipped a byte in %s; served correct at equal cost (storeHit=%v)",
-		filepath.Base(corrupted), resp.StoreHit)
+	if err := last.drain(); err != nil {
+		return err
+	}
+	h.res.Detail = fmt.Sprintf("warm restart served from disk with 0 inferences; flipped a byte in %s; "+
+		"served correct at equal cost (storeHit=%v); SIGTERM exit 0", filepath.Base(corrupted), resp.StoreHit)
 	return nil
 }
 
@@ -691,40 +765,156 @@ func scenarioFlap(h *harness) error {
 	return nil
 }
 
-// waitCluster polls the coordinator's stats (10ms doubling to 640ms,
-// bounded) until cond holds.
-func waitCluster(cl *client.Client, cond func(*wire.ClusterStats) bool) error {
-	delay := 10 * time.Millisecond
-	var last *wire.ClusterStats
-	for i := 0; i < 80; i++ {
-		st, err := cl.ClusterStats(context.Background())
-		if err == nil {
-			last = st
-			if cond(st) {
-				return nil
-			}
+// scenarioDrain: a coordinator and three workers. A repeated layout
+// stays on its worker as a cache hit; variant layouts spread over the
+// ring; the owning worker is SIGTERMed while concurrent requests are in
+// flight and must exit 0 with none of them dropped, after which its
+// layout routes elsewhere; finally every remaining process is SIGTERMed
+// and must exit 0. The requests go through a client without retries, so
+// a request the drain drops fails the scenario instead of being retried
+// into a pass.
+func scenarioDrain(h *harness) error {
+	h.res.LeaseTTLSeconds = 5
+	coord, err := h.start("", "", "-coordinator", "-lease-ttl", "5s", "-hedge-delay", "150ms")
+	if err != nil {
+		return fmt.Errorf("coordinator: %w", err)
+	}
+	workers := map[string]*daemon{}
+	for i := 0; i < 3; i++ {
+		id := fmt.Sprintf("w%d", i)
+		w, err := h.start("", "", "-register", coord.base, "-worker-id", id)
+		if err != nil {
+			return fmt.Errorf("worker %s: %w", id, err)
 		}
-		time.Sleep(delay)
-		if delay *= 2; delay > 640*time.Millisecond {
-			delay = 640 * time.Millisecond
+		workers[id] = w
+	}
+	if err := waitCluster(coord.cl, func(st *wire.ClusterStats) bool { return len(st.Workers) >= 3 }); err != nil {
+		return fmt.Errorf("3 workers never registered: %w", err)
+	}
+	strict, err := client.New(client.Config{BaseURL: coord.base, Timeout: 60 * time.Second})
+	if err != nil {
+		return err
+	}
+
+	// Affinity: the repeat lands on the same worker as its cache hit.
+	first, err := h.route(strict, chaosLayout, false)
+	if err != nil {
+		return err
+	}
+	victim := workers[first.Worker]
+	if victim == nil {
+		return fmt.Errorf("reference layout served by unknown worker %q", first.Worker)
+	}
+	second, err := h.route(strict, chaosLayout, false)
+	if err != nil {
+		return err
+	}
+	if second.Worker != first.Worker || !second.CacheHit || second.Cost != first.Cost {
+		return fmt.Errorf("repeat not its shard's cache hit: worker %q then %q, cacheHit %v, cost %v then %v",
+			first.Worker, second.Worker, second.CacheHit, first.Cost, second.Cost)
+	}
+
+	// Spread: with 64 virtual nodes per worker, twelve distinct keys all
+	// landing on one of three shards is vanishingly unlikely.
+	served := map[string]bool{}
+	for i := 0; i < 12; i++ {
+		resp, err := h.route(strict, variantLayout(i), false)
+		if err != nil {
+			return fmt.Errorf("spread layout %d: %w", i, err)
+		}
+		served[resp.Worker] = true
+	}
+	if len(served) < 2 {
+		return fmt.Errorf("12 distinct layouts all routed to one worker")
+	}
+
+	// Drain under fire: the owner finishes its in-flight work, later
+	// requests move shards.
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		//oarsmt:allow goroleak(one request each, joined by wg.Wait a few lines down)
+		go func() { //oarsmt:allow rawgo(chaos-test plumbing: concurrent load during the drain, joined below)
+			defer wg.Done()
+			h.route(strict, chaosLayout, false)
+		}()
+	}
+	drainedAt := time.Now()
+	if err := victim.drain(); err != nil {
+		return fmt.Errorf("worker %q: %w", first.Worker, err)
+	}
+	wg.Wait()
+	if n := h.errors.Load(); n != 0 {
+		return fmt.Errorf("%d of %d requests dropped during the drain of %q", n, h.requests.Load(), first.Worker)
+	}
+	moved, err := h.route(strict, chaosLayout, false)
+	if err != nil {
+		return fmt.Errorf("route after the drain: %w", err)
+	}
+	h.res.RecoverySeconds = time.Since(drainedAt).Seconds()
+	if moved.Worker == first.Worker || moved.Cost != first.Cost {
+		return fmt.Errorf("after the drain: served by %q at cost %v, want another worker at cost %v",
+			moved.Worker, moved.Cost, first.Cost)
+	}
+	st, err := coord.cl.ClusterStats(context.Background())
+	if err != nil {
+		return err
+	}
+	if st.Drained < 1 || st.Completed < 10 {
+		return fmt.Errorf("coordinator stats after the drain: %d drained, %d completed (want >= 1, >= 10)",
+			st.Drained, st.Completed)
+	}
+
+	// Clean shutdown: every remaining process drains to exit 0.
+	for id, w := range workers {
+		if id == first.Worker {
+			continue
+		}
+		if err := w.drain(); err != nil {
+			return fmt.Errorf("worker %q: %w", id, err)
 		}
 	}
-	return fmt.Errorf("condition never held (last stats: %+v)", last)
+	if err := coord.drain(); err != nil {
+		return fmt.Errorf("coordinator: %w", err)
+	}
+	h.res.Detail = fmt.Sprintf("affinity on %s; spread over %d workers; %s drained under fire, layout moved to %s; fleet exited 0",
+		first.Worker, len(served), first.Worker, moved.Worker)
+	return nil
 }
 
-// waitStat polls an arbitrary condition on the same bounded backoff.
-func waitStat(cond func() bool) error {
+// poll re-evaluates cond on a bounded deterministic backoff (10ms
+// doubling to 640ms, 80 tries, about 48s) until it holds, so a wait
+// resolves the same way on a loaded CI box as on a fast laptop. An error
+// from cond ends the wait at once.
+func poll(cond func() (bool, error)) error {
 	delay := 10 * time.Millisecond
 	for i := 0; i < 80; i++ {
-		if cond() {
-			return nil
+		if ok, err := cond(); ok || err != nil {
+			return err
 		}
 		time.Sleep(delay)
 		if delay *= 2; delay > 640*time.Millisecond {
 			delay = 640 * time.Millisecond
 		}
 	}
-	return fmt.Errorf("condition never held")
+	return errors.New("condition never held")
+}
+
+// waitCluster polls the coordinator's stats until cond holds.
+func waitCluster(cl *client.Client, cond func(*wire.ClusterStats) bool) error {
+	var last *wire.ClusterStats
+	err := poll(func() (bool, error) {
+		st, err := cl.ClusterStats(context.Background())
+		if err != nil {
+			return false, nil
+		}
+		last = st
+		return cond(st), nil
+	})
+	if err != nil {
+		return fmt.Errorf("%w (last stats: %+v)", err, last)
+	}
+	return nil
 }
 
 // freeAddr reserves then releases a loopback port; the tiny reuse race
@@ -737,29 +927,4 @@ func freeAddr() (string, error) {
 	addr := l.Addr().String()
 	l.Close()
 	return addr, nil
-}
-
-// waitHealthy polls health with a bounded deterministic backoff so the
-// startup race between the child binding its port and the first probe
-// resolves the same way on a loaded CI box as on a fast laptop.
-func waitHealthy(cl *client.Client, exited <-chan error) error {
-	delay := 10 * time.Millisecond
-	var lastErr error
-	for i := 0; i < 40; i++ {
-		select {
-		case err := <-exited:
-			return fmt.Errorf("daemon exited before becoming healthy: %v", err)
-		default:
-		}
-		if err := cl.Healthz(context.Background()); err == nil {
-			return nil
-		} else {
-			lastErr = err
-		}
-		time.Sleep(delay)
-		if delay *= 2; delay > 640*time.Millisecond {
-			delay = 640 * time.Millisecond
-		}
-	}
-	return fmt.Errorf("health not ready after 40 probes (last err: %v)", lastErr)
 }

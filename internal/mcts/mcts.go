@@ -554,7 +554,7 @@ func (s *Searcher) ActorPolicy(sps []grid.VertexID, last grid.VertexID) []float6
 		if !valid[id] {
 			continue
 		}
-		p := fsp[id] * prod
+		p := float64(fsp[id] * prod)
 		policy[id] = p
 		total += p
 		prod *= 1 - fsp[id]

@@ -139,10 +139,10 @@ func (g *GroupNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			for i := 0; i < spatial; i++ {
 				xhat := (x.Data[base+i] - mu) / std
 				dy := grad.Data[base+i]
-				dGamma += dy * xhat
+				dGamma += float64(dy * xhat)
 				dBeta += dy
-				sumDg += dy * ga
-				sumDgXhat += dy * ga * xhat
+				sumDg += float64(dy * ga)
+				sumDgXhat += float64(dy * ga * xhat)
 			}
 			g.gamma.G.Data[c] += dGamma
 			g.beta.G.Data[c] += dBeta
@@ -153,7 +153,7 @@ func (g *GroupNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			for i := 0; i < spatial; i++ {
 				xhat := (x.Data[base+i] - mu) / std
 				dy := grad.Data[base+i]
-				gx.Data[base+i] = (dy*ga - sumDg/n - xhat*sumDgXhat/n) / std
+				gx.Data[base+i] = (float64(dy*ga) - sumDg/n - xhat*sumDgXhat/n) / std
 			}
 		}
 	})

@@ -39,7 +39,7 @@ func BCEWithLogits(logits, targets *tensor.Tensor) (loss float64, grad *tensor.T
 			if az < 0 {
 				az = -az
 			}
-			s += l - z*y + math.Log1p(math.Exp(-az))
+			s += l - float64(z*y) + math.Log1p(math.Exp(-az))
 			grad.Data[i] = (Sigmoid(z) - y) / n
 		}
 		return s

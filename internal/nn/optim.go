@@ -50,10 +50,10 @@ func (a *Adam) Step() {
 		for j := range p.W.Data {
 			g := p.G.Data[j]
 			if a.WeightDecay != 0 {
-				p.W.Data[j] -= a.LR * a.WeightDecay * p.W.Data[j]
+				p.W.Data[j] -= float64(a.LR * a.WeightDecay * p.W.Data[j])
 			}
-			m.Data[j] = a.Beta1*m.Data[j] + (1-a.Beta1)*g
-			v.Data[j] = a.Beta2*v.Data[j] + (1-a.Beta2)*g*g
+			m.Data[j] = float64(a.Beta1*m.Data[j]) + float64((1-a.Beta1)*g)
+			v.Data[j] = float64(a.Beta2*v.Data[j]) + float64((1-a.Beta2)*g*g)
 			mhat := m.Data[j] / bc1
 			vhat := v.Data[j] / bc2
 			p.W.Data[j] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)

@@ -105,8 +105,8 @@ type Config struct {
 	StoreMaxEntries int
 	// StoreFlushEvery is how many freshly routed layouts trigger a
 	// background segment write; <= 0 means the store's default (32). Lower
-	// it when routes must survive a crash quickly (the kill/restart smoke
-	// runs at 1); Close always lands the partial batch regardless.
+	// it when routes must survive a crash quickly (the corrupt-store chaos
+	// scenario runs at 1); Close always lands the partial batch regardless.
 	StoreFlushEvery int
 	// MaxRetries is how many times a transient selector-inference failure
 	// (an error matching oarsmt.ErrTransient) is retried before the

@@ -34,8 +34,7 @@ import (
 // — and independent of the tile width, the register blocking and the
 // worker count: parallel shards split whole position tiles (forward) or
 // whole input channels (backward), never an element's accumulation chain.
-// (The backward dot products, dot/dot2/colGrad4, do not carry the
-// conversion yet, so gradients may still fuse on arm64.)
+// The backward dot products (dot/dot2/colGrad4) carry the same conversion.
 //
 // On amd64 with AVX2 the forward tile runs on the assembly panels of
 // kernel_amd64.s (convFwdTileAVX2), which keep the same chain in every
@@ -357,8 +356,8 @@ func dot2[F num](c0, c1, g []F) (F, F) {
 	var a0, a1 F
 	for i := range g {
 		gv := g[i]
-		a0 += gv * c0[i]
-		a1 += gv * c1[i]
+		a0 += F(gv * c0[i])
+		a1 += F(gv * c1[i])
 	}
 	return a0, a1
 }
@@ -368,7 +367,7 @@ func dot[F num](c, g []F) F {
 	c = c[:len(g)]
 	var a F
 	for i := range g {
-		a += g[i] * c[i]
+		a += F(g[i] * c[i])
 	}
 	return a
 }
@@ -382,10 +381,10 @@ func colGrad4[F num](c0, c1, c2, c3, w, g []F) {
 	c3 = c3[:len(g)]
 	for i := range g {
 		gv := g[i]
-		c0[i] += w0 * gv
-		c1[i] += w1 * gv
-		c2[i] += w2 * gv
-		c3[i] += w3 * gv
+		c0[i] += F(w0 * gv)
+		c1[i] += F(w1 * gv)
+		c2[i] += F(w2 * gv)
+		c3[i] += F(w3 * gv)
 	}
 }
 

@@ -113,7 +113,7 @@ func (t *Tensor) AddScaled(o *Tensor, alpha float64) {
 		panic(fmt.Sprintf("tensor: AddScaled shape mismatch %v vs %v", t.Shape, o.Shape))
 	}
 	for i, v := range o.Data {
-		t.Data[i] += alpha * v
+		t.Data[i] += float64(alpha * v)
 	}
 }
 

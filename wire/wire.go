@@ -6,7 +6,7 @@
 // It is the single source of truth for what crosses the network. The
 // serving daemon (internal/serve), the cluster coordinator
 // (internal/cluster), the public client package (client), and every
-// in-repo tool (oarsmt-smoke, oarsmt-loadgen) all speak these types;
+// in-repo tool (oarsmt-chaos, perfbench) all speak these types;
 // nothing else in the repository builds serve JSON by hand.
 //
 // # Versioning
