@@ -40,7 +40,7 @@ func main() {
 		modelPath = flag.String("model", "", "trained selector (default: the embedded pretrained model)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		csvDir    = flag.String("csv", "", "directory to also dump raw series as CSV files")
-		workers   = flag.Int("workers", 0, "worker goroutines for the compute pool (0 = OARSMT_WORKERS or GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "worker goroutines for the compute pool (0 = GOMAXPROCS)")
 		tracePath = flag.String("trace", "", "write a JSON span tree of the benchmark run to this file")
 	)
 	flag.Parse()

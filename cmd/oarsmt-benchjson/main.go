@@ -1,35 +1,35 @@
-// oarsmt-benchjson converts two `go test -bench` runs — a serial baseline
-// (OARSMT_WORKERS=0) and a parallel run — into a machine-readable JSON
-// report with before/after ns/op, the resulting speedup per benchmark, and
-// a per-benchmark speedup floor that turns the report into a regression
-// gate. `make bench` uses it to produce BENCH_tensor.json; `make
-// bench-gate` re-runs the suite and verifies every speedup still clears
-// the recorded floor.
+// oarsmt-benchjson folds the output of `go test -bench -benchmem` into a
+// JSON report of absolute numbers, and gates later runs against it.
+// `make bench` uses it to record BENCH_micro.json; `make bench-gate`
+// re-runs the same benchmarks and checks them against that record.
 //
 // Usage:
 //
-//	oarsmt-benchjson -serial bench_serial.txt -parallel bench_parallel.txt \
-//	    -o BENCH_tensor.json           # record (fails below recorded floors)
-//	oarsmt-benchjson -gate -serial ... -parallel ... -o BENCH_tensor.json
-//	                                   # verify only, never writes
+//	oarsmt-benchjson -o BENCH_micro.json bench_micro.txt        # record
+//	oarsmt-benchjson -gate -o BENCH_micro.json bench_micro.txt  # verify only, never writes
 //
-// Recording is itself gated: when the output file already exists, the new
-// speedups must clear its floors before the file is rewritten, so a
-// regression cannot launder itself by re-recording. Floors ratchet — a new
-// floor is max(old, 0.9 x measured speedup) capped at 1.0, so a kernel
-// that has demonstrated a speedup may never fall below parity again.
-// Speedups within -noise of 1.0 snap to exactly 1.0 first, on record and
-// gate runs alike: benchmarks too small to parallelise (or any run on a
-// single-core host, where serial and pooled execution are the same code
-// path) wobble around parity and must neither accumulate spurious floors
-// nor trip the gate with that wobble.
+// Per benchmark (sub-benchmarks included) the report keeps the minimum
+// ns/op over all its samples in the input (the Makefile takes one per
+// pass over the suite), a noise band derived from their spread,
+// and the allocs/op with the jitter the samples showed. A run fails the
+// gate when a recorded benchmark is missing, its minimum ns/op exceeds
+// the recorded minimum by more than the band, or its allocs/op exceed the
+// recorded value by more than the recorded jitter. Numbers are only
+// compared on the machine they were taken on: a run whose GOMAXPROCS or
+// `cpu:` line differs from the record fails the gate without comparing.
+//
+// Recording is itself gated: a same-machine record is only rewritten by a
+// run that passes it, so a regression cannot launder itself by
+// re-recording. A record from another machine is replaced.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -39,21 +39,25 @@ import (
 	"strings"
 )
 
-// Entry is one benchmark's before/after measurement.
+// Entry is one benchmark's recorded numbers.
 type Entry struct {
-	Name            string  `json:"name"`
-	SerialNsPerOp   float64 `json:"serial_ns_per_op"`
-	ParallelNsPerOp float64 `json:"parallel_ns_per_op"`
-	Speedup         float64 `json:"speedup"`
-	AllocsPerOp     float64 `json:"allocs_per_op,omitempty"`
-	// Floor is the gated minimum speedup: later runs fail when their
-	// (noise-snapped) speedup drops below it.
-	Floor float64 `json:"speedup_floor,omitempty"`
+	Name string `json:"name"`
+	// NsPerOp is the minimum ns/op over the samples: the fastest run has
+	// the least scheduler and cache interference, so it is the most
+	// reproducible statistic to gate on.
+	NsPerOp float64 `json:"ns_per_op"`
+	// Band is the relative slack the gate allows above NsPerOp.
+	Band float64 `json:"band"`
+	// AllocsPerOp is the largest allocs/op any sample reported, and
+	// AllocJitter how far the samples spread below it.
+	AllocsPerOp int64 `json:"allocs_per_op"`
+	AllocJitter int64 `json:"alloc_jitter,omitempty"`
 }
 
-// Report is the whole BENCH_tensor.json document.
+// Report is the whole BENCH_micro.json document.
 type Report struct {
 	GoMaxProcs int     `json:"gomaxprocs"`
+	CPU        string  `json:"cpu"`
 	GoVersion  string  `json:"go_version"`
 	Benchmarks []Entry `json:"benchmarks"`
 }
@@ -62,200 +66,214 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("oarsmt-benchjson: ")
 
-	var (
-		serialPath   = flag.String("serial", "", "bench output of the OARSMT_WORKERS=0 run")
-		parallelPath = flag.String("parallel", "", "bench output of the default (parallel) run")
-		outPath      = flag.String("o", "BENCH_tensor.json", "output JSON path")
-		gate         = flag.Bool("gate", false, "verify speedups against the floors in -o instead of rewriting it")
-		noise        = flag.Float64("noise", 0.10, "snap speedups within this fraction of 1.0 to exactly 1.0")
-		margin       = flag.Float64("margin", 0.10, "slack between a measured speedup and the floor it records")
-	)
+	out := flag.String("o", "BENCH_micro.json", "report to record into, or to gate against with -gate")
+	gateOnly := flag.Bool("gate", false, "check the run against the report instead of recording it")
 	flag.Parse()
-	if *serialPath == "" || *parallelPath == "" {
-		log.Fatal("both -serial and -parallel are required")
+	if flag.NArg() != 1 {
+		log.Fatal("usage: oarsmt-benchjson [-gate] [-o report.json] bench-output.txt")
 	}
 
-	serial, err := parseBench(*serialPath)
+	f, err := os.Open(flag.Arg(0))
 	if err != nil {
 		log.Fatal(err)
 	}
-	par, err := parseBench(*parallelPath)
+	rep, err := parse(f)
+	f.Close()
+	if err != nil {
+		log.Fatalf("%s: %v", flag.Arg(0), err)
+	}
+
+	if *gateOnly {
+		err = gate(*out, rep)
+	} else {
+		err = record(*out, rep)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	names := make([]string, 0, len(serial))
-	for name := range serial {
-		if _, ok := par[name]; ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-
-	rep := Report{GoMaxProcs: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
-	for _, name := range names {
-		s, p := serial[name], par[name]
-		e := Entry{
-			Name:            name,
-			SerialNsPerOp:   s.nsPerOp,
-			ParallelNsPerOp: p.nsPerOp,
-			AllocsPerOp:     p.allocsPerOp,
-		}
-		if p.nsPerOp > 0 {
-			e.Speedup = snap(s.nsPerOp/p.nsPerOp, *noise)
-		}
-		rep.Benchmarks = append(rep.Benchmarks, e)
-	}
-	if len(rep.Benchmarks) == 0 {
-		log.Fatal("no benchmark present in both runs")
-	}
-
-	prev := loadFloors(*outPath)
-	if *gate {
-		if len(prev) == 0 {
-			log.Fatalf("%s has no recorded floors to gate against (run make bench first)", *outPath)
-		}
-		if n := checkFloors(rep.Benchmarks, prev); n > 0 {
-			log.Fatalf("%d benchmark(s) below their recorded speedup floor", n)
-		}
-		log.Printf("gate ok: %d benchmarks at or above their floors", len(rep.Benchmarks))
-		return
-	}
-
-	// Record mode: regressions against the existing floors abort before
-	// anything is rewritten, then each floor ratchets upward.
-	if n := checkFloors(rep.Benchmarks, prev); n > 0 {
-		log.Fatalf("%d benchmark(s) below their recorded speedup floor; not rewriting %s", n, *outPath)
-	}
-	for i := range rep.Benchmarks {
-		e := &rep.Benchmarks[i]
-		floor := math.Min(1.0, e.Speedup*(1.0-*margin))
-		if old, ok := prev[e.Name]; ok && old > floor {
-			floor = old
-		}
-		e.Floor = round4(floor)
-		e.Speedup = round4(e.Speedup)
-	}
-
-	f, err := os.Create(*outPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s (%d benchmarks, GOMAXPROCS=%d)", *outPath, len(rep.Benchmarks), rep.GoMaxProcs)
 }
 
-// snap collapses speedups within noise of parity to exactly 1.0, so
-// benchmarks that run serially either way cannot record a floor above or
-// below 1.0 out of measurement wobble.
-func snap(speedup, noise float64) float64 {
-	if math.Abs(speedup-1.0) <= noise {
-		return 1.0
+// gate checks rep against the report at path and never writes.
+func gate(path string, rep Report) error {
+	old, err := load(path)
+	if err != nil {
+		return err
 	}
-	return speedup
+	if old == nil {
+		return fmt.Errorf("%s does not exist; run make bench first", path)
+	}
+	if err := sameMachine(*old, rep); err != nil {
+		return err
+	}
+	if bad := regressions(*old, rep); len(bad) > 0 {
+		return fmt.Errorf("%s\n%d benchmark(s) regressed against %s", strings.Join(bad, "\n"), len(bad), path)
+	}
+	log.Printf("gate ok: %d benchmarks within their recorded bands (GOMAXPROCS=%d)", len(old.Benchmarks), rep.GoMaxProcs)
+	return nil
 }
 
-func round4(v float64) float64 { return math.Round(v*1e4) / 1e4 }
+// record writes rep to path, unless path holds a record from this machine
+// that rep fails.
+func record(path string, rep Report) error {
+	old, err := load(path)
+	if err != nil {
+		return err
+	}
+	if old != nil {
+		if err := sameMachine(*old, rep); err != nil {
+			log.Printf("replacing the record from another machine: %v", err)
+		} else if bad := regressions(*old, rep); len(bad) > 0 {
+			return fmt.Errorf("%s\n%d benchmark(s) regressed; not rewriting %s", strings.Join(bad, "\n"), len(bad), path)
+		}
+	}
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	log.Printf("wrote %s (%d benchmarks, GOMAXPROCS=%d)", path, len(rep.Benchmarks), rep.GoMaxProcs)
+	return nil
+}
 
-// loadFloors reads the recorded per-benchmark floors of an existing
-// report; a missing or unreadable file simply means no floors yet.
-func loadFloors(path string) map[string]float64 {
+// load reads a report; a missing file is (nil, nil).
+func load(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	var rep Report
 	if err := json.Unmarshal(data, &rep); err != nil {
-		log.Printf("warning: %s exists but is not a bench report (%v); ignoring its floors", path, err)
-		return nil
+		return nil, fmt.Errorf("%s: not a bench report: %v", path, err)
 	}
-	out := map[string]float64{}
-	for _, e := range rep.Benchmarks {
-		if e.Floor > 0 {
-			out[e.Name] = e.Floor
-		}
-	}
-	return out
+	return &rep, nil
 }
 
-// checkFloors reports how many entries fall below their recorded floor,
-// logging each violation.
-func checkFloors(entries []Entry, floors map[string]float64) int {
-	bad := 0
-	for _, e := range entries {
-		floor, ok := floors[e.Name]
-		if !ok {
+// sameMachine refuses to compare numbers taken on different machines.
+func sameMachine(old, rep Report) error {
+	if old.GoMaxProcs == rep.GoMaxProcs && old.CPU == rep.CPU {
+		return nil
+	}
+	return fmt.Errorf("the record was taken at GOMAXPROCS=%d on %q, this run at GOMAXPROCS=%d on %q; numbers from different machines are not compared, run make bench to re-record",
+		old.GoMaxProcs, old.CPU, rep.GoMaxProcs, rep.CPU)
+}
+
+// regressions lists every recorded benchmark that rep lacks, runs slower
+// than its band allows, or allocates more than its jitter allows.
+func regressions(old, rep Report) []string {
+	got := map[string]Entry{}
+	for _, e := range rep.Benchmarks {
+		got[e.Name] = e
+	}
+	var bad []string
+	for _, o := range old.Benchmarks {
+		e, ok := got[o.Name]
+		switch {
+		case !ok:
+			bad = append(bad, fmt.Sprintf("MISSING %s: recorded but not in this run", o.Name))
 			continue
+		case e.NsPerOp > o.NsPerOp*(1+o.Band):
+			bad = append(bad, fmt.Sprintf("SLOWER %s: %.0f ns/op, recorded %.0f ns/op + %.0f%% band",
+				o.Name, e.NsPerOp, o.NsPerOp, 100*o.Band))
 		}
-		if e.Speedup < floor {
-			log.Printf("REGRESSION %s: speedup %.3f below floor %.3f (serial %.0f ns/op, parallel %.0f ns/op)",
-				e.Name, e.Speedup, floor, e.SerialNsPerOp, e.ParallelNsPerOp)
-			bad++
+		if lo := e.AllocsPerOp - e.AllocJitter; lo > o.AllocsPerOp+o.AllocJitter {
+			bad = append(bad, fmt.Sprintf("ALLOCS %s: %d allocs/op, recorded %d ± %d",
+				o.Name, lo, o.AllocsPerOp, o.AllocJitter))
 		}
 	}
 	return bad
 }
 
-type measurement struct {
-	nsPerOp     float64
-	allocsPerOp float64
+// The noise band is bandScale times the relative spread of a benchmark's
+// samples, (max-min)/min, and never below minBand: the gate's shorter run
+// sees at most about the spread the record saw, and minBand covers
+// kernels whose samples happen to agree.
+const (
+	minBand   = 0.10
+	bandScale = 2
+)
+
+// band derives a benchmark's noise band from the fastest and slowest of
+// its ns/op samples, rounded up to whole percent.
+func band(lo, hi float64) float64 {
+	return math.Ceil(100*math.Max(minBand, bandScale*(hi-lo)/lo)) / 100
 }
 
-// parseBench extracts "BenchmarkName-N  iters  X ns/op [...]" lines. The
-// -N GOMAXPROCS suffix is stripped so serial and parallel runs line up.
-// Repeated measurements of one benchmark (-count > 1) keep the minimum
-// ns/op: the fastest run has the least scheduler and cache interference,
-// so minima are the most reproducible statistic to gate on.
-func parseBench(path string) (map[string]measurement, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// parse reads `go test -bench` output into a report. The -N GOMAXPROCS
+// suffix (absent at GOMAXPROCS=1) is stripped from each name and recorded
+// once; MB/s and B/op columns are ignored.
+func parse(r io.Reader) (Report, error) {
+	rep := Report{GoVersion: runtime.Version()}
+	type span struct {
+		nsLo, nsHi       float64
+		allocLo, allocHi int64
 	}
-	defer f.Close()
-
-	out := map[string]measurement{}
-	sc := bufio.NewScanner(f)
+	seen := map[string]*span{}
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok && rep.CPU == "" {
+			rep.CPU = strings.TrimSpace(cpu)
+		}
+		if strings.HasPrefix(line, "FAIL") || strings.HasPrefix(line, "--- FAIL") {
+			return Report{}, fmt.Errorf("the benchmark run failed: %s", line)
+		}
+		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		name := fields[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			name = name[:i]
-		}
-		var m measurement
-		ok := false
-		for i := 2; i+1 < len(fields); i++ {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
+		name, procs := fields[0], 1
+		if i := strings.LastIndexByte(name, '-'); i > 0 {
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, procs = name[:i], n
 			}
+		}
+		ns, allocs := -1.0, int64(0)
+		for i := 2; i+1 < len(fields); i++ {
+			var err error
 			switch fields[i+1] {
 			case "ns/op":
-				m.nsPerOp = v
-				ok = true
+				ns, err = strconv.ParseFloat(fields[i], 64)
 			case "allocs/op":
-				m.allocsPerOp = v
+				allocs, err = strconv.ParseInt(fields[i], 10, 64)
+			}
+			if err != nil {
+				return Report{}, fmt.Errorf("%s: %v", name, err)
 			}
 		}
-		if !ok {
+		if ns < 0 {
 			continue
 		}
-		if old, seen := out[name]; !seen || m.nsPerOp < old.nsPerOp {
-			out[name] = m
+		if rep.GoMaxProcs != 0 && procs != rep.GoMaxProcs {
+			return Report{}, fmt.Errorf("%s ran at GOMAXPROCS=%d, earlier benchmarks at %d", name, procs, rep.GoMaxProcs)
+		}
+		rep.GoMaxProcs = procs
+		if s := seen[name]; s != nil {
+			s.nsLo, s.nsHi = math.Min(s.nsLo, ns), math.Max(s.nsHi, ns)
+			s.allocLo, s.allocHi = min(s.allocLo, allocs), max(s.allocHi, allocs)
+		} else {
+			seen[name] = &span{ns, ns, allocs, allocs}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return Report{}, err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%s: no benchmark lines found", path)
+	if len(seen) == 0 {
+		return Report{}, errors.New("no benchmark lines found")
 	}
-	return out, nil
+	for name, s := range seen {
+		rep.Benchmarks = append(rep.Benchmarks, Entry{
+			Name:        name,
+			NsPerOp:     s.nsLo,
+			Band:        band(s.nsLo, s.nsHi),
+			AllocsPerOp: s.allocHi,
+			AllocJitter: s.allocHi - s.allocLo,
+		})
+	}
+	sort.Slice(rep.Benchmarks, func(i, j int) bool { return rep.Benchmarks[i].Name < rep.Benchmarks[j].Name })
+	return rep, nil
 }

@@ -65,7 +65,7 @@ func main() {
 		noAug    = flag.Bool("no-augment", false, "disable 16x data augmentation")
 		paperSch = flag.Bool("paper", false, "use the paper's full 12-size schedule")
 		metrics  = flag.String("metrics", "", "append per-stage metrics to this CSV file")
-		workers  = flag.Int("workers", 0, "worker goroutines for the compute pool (0 = OARSMT_WORKERS or GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "worker goroutines for the compute pool (0 = GOMAXPROCS)")
 		tracePth = flag.String("trace", "", "write a JSON span tree of the training run to this file")
 	)
 	flag.Parse()

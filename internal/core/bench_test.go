@@ -30,7 +30,7 @@ func benchRouter(b *testing.B) (*Router, *layout.Instance) {
 }
 
 // BenchmarkNormalRoute is the healthy-path baseline BenchmarkDegradedRoute
-// is compared against in BENCH_fault.json.
+// is compared against in BENCH_micro.json.
 func BenchmarkNormalRoute(b *testing.B) {
 	r, in := benchRouter(b)
 	ctx := context.Background()

@@ -287,7 +287,7 @@ func Fig10(opts Options, evals []SubsetEval, nBuckets int) map[string][]Fig10Buc
 		buckets := make([]Fig10Bucket, nBuckets)
 		step := (hi - lo) / float64(nBuckets)
 		for b := range buckets {
-			buckets[b].Lo = lo + float64(b)*step
+			buckets[b].Lo = lo + float64(float64(b)*step)
 			buckets[b].Hi = buckets[b].Lo + step
 		}
 		for _, l := range e.Layouts {

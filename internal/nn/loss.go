@@ -95,7 +95,7 @@ func CrossEntropyGrad(logits []float64, mask []bool, target []float64) (float64,
 			continue
 		}
 		if target[i] > 0 {
-			loss -= target[i] * math.Log(math.Max(p[i], 1e-12))
+			loss -= float64(target[i] * math.Log(math.Max(p[i], 1e-12)))
 		}
 		grad[i] = p[i] - target[i]
 	}

@@ -5,9 +5,9 @@
 // Every hot kernel (tensor convolutions, normalisation, losses), the
 // combinatorial-MCTS leaf evaluation and the episode loops of the training
 // and experiment harnesses dispatch through this package, so one knob
-// controls all concurrency: the OARSMT_WORKERS environment variable (or
-// SetWorkers). 0 or 1 forces the serial path for debugging; unset or
-// negative values mean GOMAXPROCS.
+// controls all concurrency: the pool is GOMAXPROCS wide unless a program
+// calls SetWorkers (the -workers flag of oarsmt-train and oarsmt-bench);
+// SetWorkers(1) forces the serial path for debugging.
 //
 // # Determinism
 //
@@ -32,9 +32,7 @@
 package parallel
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -44,7 +42,7 @@ var workers atomic.Int32
 
 // SetWorkers overrides the worker count for the whole process: n <= 1
 // selects the serial path, larger values allow up to n concurrent shards
-// per loop. It replaces any OARSMT_WORKERS setting.
+// per loop.
 func SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -52,23 +50,13 @@ func SetWorkers(n int) {
 	workers.Store(int32(n))
 }
 
-// Workers returns the effective worker count (>= 1). The first call
-// resolves OARSMT_WORKERS; 0 or 1 mean serial, unset/invalid/negative mean
-// GOMAXPROCS.
+// Workers returns the effective worker count (>= 1): the SetWorkers
+// value, or GOMAXPROCS at the first call.
 func Workers() int {
 	if w := workers.Load(); w > 0 {
 		return int(w)
 	}
-	w := runtime.GOMAXPROCS(0)
-	if env, ok := os.LookupEnv("OARSMT_WORKERS"); ok {
-		if v, err := strconv.Atoi(env); err == nil && v >= 0 {
-			w = v
-			if w < 1 {
-				w = 1
-			}
-		}
-	}
-	workers.CompareAndSwap(0, int32(w))
+	workers.CompareAndSwap(0, int32(runtime.GOMAXPROCS(0)))
 	return int(workers.Load())
 }
 

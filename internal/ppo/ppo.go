@@ -276,7 +276,7 @@ func (t *Trainer) update(steps []step) (policyLoss, valueLoss float64) {
 				if t.Cfg.EntropyCoef > 0 && p[id] > 0 {
 					// Entropy bonus: loss −= c·H, dH/dz_k = −p_k(log p_k + H).
 					h := entropy(p)
-					gpi += t.Cfg.EntropyCoef * p[id] * (math.Log(p[id]) + h)
+					gpi += float64(t.Cfg.EntropyCoef * p[id] * (math.Log(p[id]) + h))
 				}
 				grad.Data[id] = gpi
 			}
@@ -286,7 +286,7 @@ func (t *Trainer) update(steps []step) (policyLoss, valueLoss float64) {
 			// Value update toward the empirical return.
 			v := t.Value.Forward(enc)
 			diff := v - s.ret
-			valueLoss += diff * diff
+			valueLoss += float64(diff * diff)
 			t.Value.Backward(2 * diff)
 			t.optV.Step()
 		}
@@ -300,7 +300,7 @@ func entropy(p []float64) float64 {
 	h := 0.0
 	for _, v := range p {
 		if v > 0 {
-			h -= v * math.Log(v)
+			h -= float64(v * math.Log(v))
 		}
 	}
 	return h

@@ -59,7 +59,7 @@ func svgDraw(w io.Writer, in *layout.Instance, trees []*route.Tree, cfg SVGConfi
 	panelW := xs[len(xs)-1] + cfg.CellSize*2
 	panelH := ys[len(ys)-1] + cfg.CellSize*2
 	const gap = 12.0
-	totalW := panelW*float64(g.M) + gap*float64(g.M-1)
+	totalW := float64(panelW*float64(g.M)) + float64(gap*float64(g.M-1))
 	totalH := panelH + 20
 
 	fmt.Fprintf(w, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f">`+"\n",
@@ -69,7 +69,7 @@ func svgDraw(w io.Writer, in *layout.Instance, trees []*route.Tree, cfg SVGConfi
 	pinSet := in.PinSet()
 
 	px := func(layer int, h int) float64 {
-		return float64(layer)*(panelW+gap) + cfg.CellSize + xs[h]
+		return float64(float64(layer)*(panelW+gap)) + cfg.CellSize + xs[h]
 	}
 	py := func(v int) float64 {
 		// SVG y grows downward; flip so V grows upward.
@@ -95,7 +95,7 @@ func svgDraw(w io.Writer, in *layout.Instance, trees []*route.Tree, cfg SVGConfi
 				if g.BlockedCoord(grid.Coord{H: h, V: v, M: m}) {
 					s := cfg.CellSize * 0.7
 					fmt.Fprintf(w, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="#bbb"/>`+"\n",
-						px(m, h)-s/2, py(v)-s/2, s, s)
+						px(m, h)-float64(s/2), py(v)-float64(s/2), s, s)
 				}
 			}
 		}
@@ -128,7 +128,7 @@ func svgDraw(w io.Writer, in *layout.Instance, trees []*route.Tree, cfg SVGConfi
 				continue
 			}
 			c := g.CoordOf(v)
-			r := cfg.CellSize * 0.33
+			r := float64(cfg.CellSize * 0.33)
 			fmt.Fprintf(w, `<path d="M %.1f %.1f l %.1f %.1f l %.1f %.1f l %.1f %.1f z" fill="#2a2" opacity="0.9"/>`+"\n",
 				px(c.M, c.H), py(c.V)-r, r, r, -r, r, -r, -r)
 		}

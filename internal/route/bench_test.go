@@ -53,6 +53,11 @@ func BenchmarkOARMST32x32(b *testing.B) {
 func BenchmarkOARMST128x128(b *testing.B) {
 	g, terms := benchInstance(b, 128, 128, 4, 64, 5000)
 	r := NewRouter(g)
+	// Warm the router's scratch so allocs/op is the steady state at any
+	// -benchtime.
+	if _, err := r.OARMST(terms); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.OARMST(terms); err != nil {

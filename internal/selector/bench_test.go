@@ -45,6 +45,9 @@ func BenchmarkEncode32x32x4(b *testing.B) {
 func BenchmarkInference16x16x4(b *testing.B) {
 	s := benchSelector(b)
 	g, pins := benchGraph(b, 16, 16, 4)
+	// Warm the inference arenas so allocs/op is the steady state at any
+	// -benchtime.
+	s.FSP(g, pins)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.FSP(g, pins)
@@ -54,6 +57,7 @@ func BenchmarkInference16x16x4(b *testing.B) {
 func BenchmarkInference32x32x4(b *testing.B) {
 	s := benchSelector(b)
 	g, pins := benchGraph(b, 32, 32, 4)
+	s.FSP(g, pins)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.FSP(g, pins)
@@ -63,6 +67,7 @@ func BenchmarkInference32x32x4(b *testing.B) {
 func BenchmarkInference64x64x4(b *testing.B) {
 	s := benchSelector(b)
 	g, pins := benchGraph(b, 64, 64, 4)
+	s.FSP(g, pins)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.FSP(g, pins)

@@ -11,7 +11,7 @@ import (
 )
 
 // The Store* benchmarks quantify the warm-restart value proposition for
-// BENCH_store.json: a cold route pays inference + construction, a warm
+// BENCH_micro.json: a cold route pays inference + construction, a warm
 // memory hit pays a map lookup + tree replay, and a warm disk hit (fresh
 // process, store only) pays the same replay after one index lookup.
 

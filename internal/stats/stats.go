@@ -43,7 +43,7 @@ func Summarize(xs []float64) Summary {
 		var sq float64
 		for _, x := range xs {
 			d := x - s.Mean
-			sq += d * d
+			sq += float64(d * d)
 		}
 		s.Std = math.Sqrt(sq / float64(n-1))
 	}

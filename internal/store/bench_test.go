@@ -18,10 +18,10 @@ func benchRecords(n int) []*Record {
 func benchOptions(dir string) Options {
 	var tick int64
 	return Options{
-		Dir:      dir,
+		Dir:        dir,
 		MaxEntries: 1 << 20,
-		Registry: obs.NewRegistry(),
-		now:      func() int64 { tick += 1000; return tick },
+		Registry:   obs.NewRegistry(),
+		now:        func() int64 { tick += 1000; return tick },
 	}
 }
 

@@ -31,11 +31,11 @@ type Fingerprint [32]byte
 // be replayed into any of the 16 symmetric request orientations. Records
 // handed out by Get are shared and must be treated as read-only.
 type Record struct {
-	Key     Key
-	H, V, M int        // canonical grid dimensions
-	Root    grid.Coord // tree root, canonical space
-	Edges   [][2]grid.Coord
-	Steiner []grid.Coord
+	Key         Key
+	H, V, M     int        // canonical grid dimensions
+	Root        grid.Coord // tree root, canonical space
+	Edges       [][2]grid.Coord
+	Steiner     []grid.Coord
 	UsedSteiner bool
 	Proposed    int // Steiner points the selector proposed
 	Cost        float64
@@ -64,8 +64,8 @@ type Record struct {
 // The encoding is deterministic: segments written from the same records in
 // the same order are bit-identical, which keeps compaction reproducible.
 const (
-	segMagic   = "OARSMTSG"
-	segVersion = 1
+	segMagic      = "OARSMTSG"
+	segVersion    = 1
 	segHeaderSize = len(segMagic) + 4 + 32 + 8
 	recFixedSize  = 32 + 3*4 + 3*4 + 8 + 1 + 4 + 4 + 4 // everything but the coord arrays
 	edgeSize      = 6 * 4

@@ -32,8 +32,8 @@ func testRecord(i int) *Record {
 	var k Key
 	k[0], k[1] = byte(i), byte(i>>8)
 	return &Record{
-		Key:  k,
-		H:    4 + i%3, V: 5, M: 2,
+		Key: k,
+		H:   4 + i%3, V: 5, M: 2,
 		Root: grid.Coord{H: i % 4, V: 1, M: 0},
 		Edges: [][2]grid.Coord{
 			{{H: 0, V: 0, M: 0}, {H: 1, V: 0, M: 0}},

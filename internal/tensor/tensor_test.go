@@ -180,7 +180,7 @@ func TestConv3DGradCheck(t *testing.T) {
 		out := Conv3D(x, w, b)
 		s := 0.0
 		for i := range out.Data {
-			s += out.Data[i] * mask.Data[i]
+			s += float64(out.Data[i] * mask.Data[i])
 		}
 		return s
 	}
@@ -219,7 +219,7 @@ func naiveConv3D(x, w, b *Tensor) *Tensor {
 									if sh < 0 || sh >= h || sv < 0 || sv >= v || sm < 0 || sm >= m {
 										continue
 									}
-									acc += x.At(ic, sh, sv, sm) * w.At(oc, ic, kh, kv, km)
+									acc += float64(x.At(ic, sh, sv, sm) * w.At(oc, ic, kh, kv, km))
 								}
 							}
 						}
@@ -287,7 +287,7 @@ func TestAvgPool2GradCheck(t *testing.T) {
 		out := AvgPool2(x)
 		s := 0.0
 		for i := range out.Data {
-			s += out.Data[i] * mask.Data[i]
+			s += float64(out.Data[i] * mask.Data[i])
 		}
 		return s
 	}
@@ -323,7 +323,7 @@ func TestUpsampleNearestGradCheck(t *testing.T) {
 		out := UpsampleNearest(x, 5, 4, 3)
 		s := 0.0
 		for i := range out.Data {
-			s += out.Data[i] * mask.Data[i]
+			s += float64(out.Data[i] * mask.Data[i])
 		}
 		return s
 	}
