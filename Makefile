@@ -149,6 +149,8 @@ fuzz:
 	go test -fuzz=FuzzTextFmt -fuzztime=30s ./internal/layout/
 	go test -fuzz=FuzzSegmentDecode -fuzztime=30s ./internal/store/
 	go test -fuzz=FuzzAllowAnnotation -fuzztime=30s ./internal/lint/
+	go test -fuzz=FuzzHeapOrder -fuzztime=30s ./internal/route/
+	go test -fuzz=FuzzRetracePruned -fuzztime=30s ./internal/route/
 
 # Regenerate every paper table and figure at CPU scale.
 experiments:

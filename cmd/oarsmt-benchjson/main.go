@@ -11,10 +11,15 @@
 // Per benchmark (sub-benchmarks included) the report keeps the minimum
 // ns/op over all its samples in the input (the Makefile takes one per
 // pass over the suite), a noise band derived from their spread,
-// and the allocs/op with the jitter the samples showed. A run fails the
-// gate when a recorded benchmark is missing, its minimum ns/op exceeds
-// the recorded minimum by more than the band, or its allocs/op exceed the
-// recorded value by more than the recorded jitter. Numbers are only
+// the allocs/op with the jitter the samples showed, and every work count
+// the benchmark reports with b.ReportMetric (a unit ending in "/op", such
+// as the route benchmarks' pops/op and relax/op). A run fails the gate
+// when a recorded benchmark is missing, its minimum ns/op exceeds the
+// recorded minimum by more than the band, its allocs/op exceed the
+// recorded value by more than the recorded jitter, or a work count is
+// missing or above its recorded value. Work counts do not depend on the
+// host, so they have no band: samples of one benchmark must agree, and
+// one more heap pop per op fails the gate. Numbers are only
 // compared on the machine they were taken on: a run whose GOMAXPROCS or
 // `cpu:` line differs from the record fails the gate without comparing.
 //
@@ -31,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"math"
 	"os"
 	"runtime"
@@ -52,6 +58,9 @@ type Entry struct {
 	// AllocJitter how far the samples spread below it.
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	AllocJitter int64 `json:"alloc_jitter,omitempty"`
+	// Work holds the deterministic per-op counts the benchmark reports,
+	// by unit.
+	Work map[string]float64 `json:"work,omitempty"`
 }
 
 // Report is the whole BENCH_micro.json document.
@@ -184,8 +193,25 @@ func regressions(old, rep Report) []string {
 			bad = append(bad, fmt.Sprintf("ALLOCS %s: %d allocs/op, recorded %d ± %d",
 				o.Name, lo, o.AllocsPerOp, o.AllocJitter))
 		}
+		for _, unit := range sortedKeys(o.Work) {
+			switch got, ok := e.Work[unit]; {
+			case !ok:
+				bad = append(bad, fmt.Sprintf("WORK %s: no %s in this run, recorded %.0f", o.Name, unit, o.Work[unit]))
+			case got > o.Work[unit]:
+				bad = append(bad, fmt.Sprintf("WORK %s: %.0f %s, recorded %.0f", o.Name, got, unit, o.Work[unit]))
+			}
+		}
 	}
 	return bad
+}
+
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // The noise band is bandScale times the relative spread of a benchmark's
@@ -205,12 +231,14 @@ func band(lo, hi float64) float64 {
 
 // parse reads `go test -bench` output into a report. The -N GOMAXPROCS
 // suffix (absent at GOMAXPROCS=1) is stripped from each name and recorded
-// once; MB/s and B/op columns are ignored.
+// once; MB/s and B/op columns are ignored, and every other "/op" column is
+// a work count that must read the same in every sample.
 func parse(r io.Reader) (Report, error) {
 	rep := Report{GoVersion: runtime.Version()}
 	type span struct {
 		nsLo, nsHi       float64
 		allocLo, allocHi int64
+		work             map[string]float64
 	}
 	seen := map[string]*span{}
 	sc := bufio.NewScanner(r)
@@ -233,13 +261,26 @@ func parse(r io.Reader) (Report, error) {
 			}
 		}
 		ns, allocs := -1.0, int64(0)
+		var work map[string]float64
 		for i := 2; i+1 < len(fields); i++ {
 			var err error
-			switch fields[i+1] {
+			switch unit := fields[i+1]; unit {
 			case "ns/op":
 				ns, err = strconv.ParseFloat(fields[i], 64)
 			case "allocs/op":
 				allocs, err = strconv.ParseInt(fields[i], 10, 64)
+			case "B/op":
+			default:
+				if !strings.HasSuffix(unit, "/op") {
+					continue
+				}
+				var v float64
+				if v, err = strconv.ParseFloat(fields[i], 64); err == nil {
+					if work == nil {
+						work = map[string]float64{}
+					}
+					work[unit] = v
+				}
 			}
 			if err != nil {
 				return Report{}, fmt.Errorf("%s: %v", name, err)
@@ -255,8 +296,11 @@ func parse(r io.Reader) (Report, error) {
 		if s := seen[name]; s != nil {
 			s.nsLo, s.nsHi = math.Min(s.nsLo, ns), math.Max(s.nsHi, ns)
 			s.allocLo, s.allocHi = min(s.allocLo, allocs), max(s.allocHi, allocs)
+			if !maps.Equal(s.work, work) {
+				return Report{}, fmt.Errorf("%s: work counts %v in one sample and %v in another; they must be deterministic", name, s.work, work)
+			}
 		} else {
-			seen[name] = &span{ns, ns, allocs, allocs}
+			seen[name] = &span{ns, ns, allocs, allocs, work}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -272,6 +316,7 @@ func parse(r io.Reader) (Report, error) {
 			Band:        band(s.nsLo, s.nsHi),
 			AllocsPerOp: s.allocHi,
 			AllocJitter: s.allocHi - s.allocLo,
+			Work:        s.work,
 		})
 	}
 	sort.Slice(rep.Benchmarks, func(i, j int) bool { return rep.Benchmarks[i].Name < rep.Benchmarks[j].Name })

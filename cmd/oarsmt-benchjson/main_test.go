@@ -52,6 +52,21 @@ func TestParse(t *testing.T) {
 			procs: 2,
 			want:  []Entry{{Name: "BenchmarkStoreSegmentWrite", NsPerOp: 980360, Band: minBand, AllocsPerOp: 21}},
 		},
+		{
+			name: "work counts kept per unit",
+			in: header +
+				"BenchmarkOARMST32x32-2 \t 600\t 1950000 ns/op\t 7100 pops/op\t 20300 relax/op\t 4096 B/op\t 30 allocs/op\n" +
+				"BenchmarkOARMST32x32-2 \t 650\t 1900000 ns/op\t 7100 pops/op\t 20300 relax/op\t 4096 B/op\t 30 allocs/op\n",
+			procs: 2,
+			want: []Entry{{Name: "BenchmarkOARMST32x32", NsPerOp: 1900000, Band: minBand, AllocsPerOp: 30,
+				Work: map[string]float64{"pops/op": 7100, "relax/op": 20300}}},
+		},
+		{
+			name: "work counts disagree between samples",
+			in: header +
+				"BenchmarkOARMST32x32-2 \t 600\t 1950000 ns/op\t 7100 pops/op\t 30 allocs/op\n" +
+				"BenchmarkOARMST32x32-2 \t 650\t 1900000 ns/op\t 7101 pops/op\t 30 allocs/op\n",
+		},
 		{name: "no benchmark lines", in: header + "PASS\nok  \toarsmt/internal/x\t1.0s\n"},
 		{name: "failed run", in: header + "BenchmarkA-2 \t 10\t 100 ns/op\n--- FAIL: BenchmarkB-2\nFAIL\toarsmt/internal/x\t1.0s\n"},
 		{name: "mixed GOMAXPROCS", in: header + "BenchmarkA-2 \t 10\t 100 ns/op\nBenchmarkA-4 \t 10\t 100 ns/op\n"},
@@ -77,9 +92,9 @@ func TestParse(t *testing.T) {
 	}
 }
 
-// benchText renders a two-sample run of two benchmarks at the given
+// benchText renders a two-sample run of three benchmarks at the given
 // GOMAXPROCS: the conv samples agree (band minBand), the compaction
-// samples are 1 alloc apart.
+// samples are 1 alloc apart, and the OARMST samples report work counts.
 func benchText(procs int, convNs float64, convAllocs int, compact bool) string {
 	var b strings.Builder
 	b.WriteString(header)
@@ -88,6 +103,7 @@ func benchText(procs int, convNs float64, convAllocs int, compact bool) string {
 		if compact {
 			fmt.Fprintf(&b, "BenchmarkStoreCompact-%d \t 369\t 3900000 ns/op\t 315201 B/op\t %d allocs/op\n", procs, 198+i)
 		}
+		fmt.Fprintf(&b, "BenchmarkOARMST32x32-%d \t 600\t 1900000 ns/op\t 7100 pops/op\t 20300 relax/op\t 4096 B/op\t 30 allocs/op\n", procs)
 	}
 	return b.String()
 }
@@ -101,7 +117,7 @@ func TestRecordThenGate(t *testing.T) {
 	if err := record(path, base); err != nil {
 		t.Fatal(err)
 	}
-	if got := base.Benchmarks[0]; got.Band != minBand {
+	if got := base.Benchmarks[0]; got.Band != minBand || got.Name != "BenchmarkConv3DForward16" {
 		t.Fatalf("conv band %v, want %v", got.Band, minBand)
 	}
 
@@ -118,6 +134,11 @@ func TestRecordThenGate(t *testing.T) {
 		{"one more alloc", benchText(2, 400000, 7, true), "ALLOCS BenchmarkConv3DForward16"},
 		{"two more allocs", benchText(2, 400000, 8, true), "ALLOCS BenchmarkConv3DForward16"},
 		{"benchmark dropped", benchText(2, 400000, 6, false), "MISSING BenchmarkStoreCompact"},
+		{"fewer heap pops", strings.ReplaceAll(benchText(2, 400000, 6, true), "7100 pops", "7000 pops"), ""},
+		{"one more heap pop", strings.ReplaceAll(benchText(2, 400000, 6, true), "7100 pops", "7101 pops"),
+			"WORK BenchmarkOARMST32x32: 7101 pops/op, recorded 7100"},
+		{"work count dropped", strings.ReplaceAll(benchText(2, 400000, 6, true), "20300 relax/op", ""),
+			"WORK BenchmarkOARMST32x32: no relax/op"},
 		{"GOMAXPROCS changed", benchText(4, 400000, 6, true), "run make bench"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

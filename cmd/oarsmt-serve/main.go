@@ -21,8 +21,8 @@
 //
 // SIGINT/SIGTERM triggers a graceful drain: a registered worker first
 // tells its coordinator to stop routing to it, then in-flight and
-// queued requests are answered, new ones are refused, and the process
-// exits 0.
+// queued requests are answered, new ones are refused, connections that
+// never sent a request are closed, and the process exits 0.
 package main
 
 import (
@@ -36,6 +36,7 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"sync"
 	"syscall"
 	"time"
 
@@ -190,16 +191,12 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = mux
 	}
-	srv := &http.Server{Handler: handler}
+	srv := startServer(ln, handler)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	serveErr := make(chan error, 1)
-	//oarsmt:allow rawgo(daemon plumbing: Serve blocks until shutdown and never touches routing state)
-	go func() { serveErr <- srv.Serve(ln) }()
-
 	select {
-	case err := <-serveErr:
+	case err := <-srv.served:
 		log.Fatal(err)
 	case <-ctx.Done():
 	}
@@ -209,11 +206,66 @@ func main() {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
 	preShutdown(shutdownCtx)
-	if err := srv.Shutdown(shutdownCtx); err != nil {
+	if err := srv.drain(shutdownCtx); err != nil {
 		log.Printf("shutdown: %v", err)
 	}
 	postShutdown()
 	log.Print("drained, bye")
+}
+
+// server is the daemon's HTTP server plus what its drain needs: the
+// connections accepted that have not begun a request.
+type server struct {
+	http   *http.Server
+	served chan error // Serve's result
+
+	mu    sync.Mutex
+	fresh map[net.Conn]struct{} // in http.StateNew
+}
+
+// startServer serves h on ln in the background.
+func startServer(ln net.Listener, h http.Handler) *server {
+	s := &server{served: make(chan error, 1), fresh: map[net.Conn]struct{}{}}
+	s.http = &http.Server{Handler: h, ConnState: s.track}
+	//oarsmt:allow rawgo(daemon plumbing: Serve blocks until shutdown and never touches routing state)
+	go func() { s.served <- s.http.Serve(ln) }()
+	return s
+}
+
+func (s *server) track(c net.Conn, st http.ConnState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st == http.StateNew {
+		s.fresh[c] = struct{}{}
+	} else {
+		delete(s.fresh, c)
+	}
+}
+
+// drain stops accepting, closes every connection that has not begun a
+// request, and waits until in-flight requests are answered or ctx ends.
+//
+// http.Server.Shutdown closes idle keep-alive connections at once but
+// counts a connection in StateNew as busy until it is 5 s old (Go issue
+// 22682), so a client that dials and sends nothing would hold the exit
+// for 5-6 s. Such a connection carries no request, just like an idle
+// keep-alive one, so drain closes it the way Shutdown closes those. Both
+// leave the same window: a request whose first bytes are read in the
+// instant of the close is cut, and the client sees a closed connection.
+func (s *server) drain(ctx context.Context) error {
+	done := make(chan error, 1)
+	//oarsmt:allow rawgo(daemon plumbing: Shutdown waits for handlers while drain sweeps fresh connections)
+	go func() { done <- s.http.Shutdown(ctx) }()
+	// Serve returns once Shutdown has closed the listener, and it reports
+	// every connection it accepted as StateNew before it returns, so the
+	// sweep below sees them all.
+	<-s.served
+	s.mu.Lock()
+	for c := range s.fresh {
+		c.Close()
+	}
+	s.mu.Unlock()
+	return <-done
 }
 
 func loadSelector(path string) (*selector.Selector, error) {

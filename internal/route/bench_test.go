@@ -38,11 +38,24 @@ func benchInstance(b *testing.B, h, v, m, pins, blocked int) (*grid.Graph, []gri
 	return g, terms
 }
 
+// countWork starts counting route.heap_pops and route.relaxations; the
+// returned func reports them per op as pops/op and relax/op. Every op of
+// a route benchmark repeats the same searches, so the counts are exact
+// and host-independent, and oarsmt-benchjson gates them with no band.
+func countWork(b *testing.B) (report func()) {
+	pops, relax := mHeapPops.Load(), mRelaxations.Load()
+	return func() {
+		b.ReportMetric(float64(mHeapPops.Load()-pops)/float64(b.N), "pops/op")
+		b.ReportMetric(float64(mRelaxations.Load()-relax)/float64(b.N), "relax/op")
+	}
+}
+
 func BenchmarkOARMST32x32(b *testing.B) {
 	g, terms := benchInstance(b, 32, 32, 4, 8, 300)
 	r := NewRouter(g)
 	b.ReportAllocs()
 	b.ResetTimer()
+	defer countWork(b)()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.OARMST(terms); err != nil {
 			b.Fatal(err)
@@ -59,6 +72,7 @@ func BenchmarkOARMST128x128(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
+	defer countWork(b)()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.OARMST(terms); err != nil {
 			b.Fatal(err)
@@ -78,6 +92,7 @@ func BenchmarkSteinerTree32x32(b *testing.B) {
 		}
 	}
 	b.ResetTimer()
+	defer countWork(b)()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.SteinerTree(terms, sps); err != nil {
 			b.Fatal(err)
@@ -93,6 +108,7 @@ func BenchmarkRetrace32x32(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
+	defer countWork(b)()
 	for i := 0; i < b.N; i++ {
 		r.Retrace(tree, terms, 2)
 	}
@@ -104,6 +120,7 @@ func BenchmarkShortestPath64(b *testing.B) {
 	src := g.Index(0, 0, 0)
 	dst := g.Index(63, 63, 3)
 	b.ResetTimer()
+	defer countWork(b)()
 	for i := 0; i < b.N; i++ {
 		if _, _, ok := r.ShortestPath(src, dst); !ok {
 			b.Fatal("unreachable")

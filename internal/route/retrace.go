@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math"
 	"sort"
 
 	"oarsmt/internal/grid"
@@ -12,6 +13,13 @@ import (
 // terminal is re-routed against the remaining tree; the reroute is kept
 // only when it is strictly cheaper. Passes repeat until a pass finds no
 // improvement or maxPasses is reached.
+//
+// Most reroutes lose. Before the forward search, a Dijkstra from the
+// detached terminal (boundSearch) looks for any tree vertex closer than
+// the ripped-up path; when it proves there is none, the forward search
+// could only reject, so the old path goes back without running it. When
+// the bound cannot prove that, the forward search runs, so every kept
+// route and its tie-breaks are the forward search's own.
 //
 // The input tree is not modified; the (possibly improved) result is
 // returned together with the number of passes that found an improvement.
@@ -30,6 +38,10 @@ func (r *Router) Retrace(t *Tree, terminals []grid.VertexID, maxPasses int) (*Tr
 		termSet[term] = struct{}{}
 	}
 	terms := dedupSorted(terminals)
+	scale := 1.0 // exact path sums: the bound uses the forward search's limit
+	if !integerCosts(r.g) {
+		scale = boundScale(r.g)
+	}
 
 	improvedPasses := 0
 	for pass := 0; pass < maxPasses; pass++ {
@@ -48,15 +60,15 @@ func (r *Router) Retrace(t *Tree, terminals []grid.VertexID, maxPasses int) (*Tr
 				continue
 			}
 			removePath(adj, path)
+			// The forward search keeps a reroute when newCost < pathCost-1e-9.
+			if !r.boundSearch(adj, termSet, term, (pathCost-1e-9)*scale) {
+				mRetraceSkips.Inc()
+				addPathAdj(adj, path)
+				continue
+			}
 			sources := make([]grid.VertexID, 0, len(adj))
-			for v, ns := range adj {
-				if v == term {
-					// The detached terminal must not seed the search, or
-					// the "reroute" would trivially reach itself at zero
-					// cost and leave it disconnected.
-					continue
-				}
-				if len(ns) > 0 || isTerm(termSet, v) {
+			for v := range adj {
+				if seeds(adj, termSet, term, v) {
 					sources = append(sources, v)
 				}
 			}
@@ -98,6 +110,107 @@ func (r *Router) Retrace(t *Tree, terminals []grid.VertexID, maxPasses int) (*Tr
 		out.addEdge(r.g, e.A, e.B)
 	}
 	return out, improvedPasses
+}
+
+// boundSearch runs a Dijkstra outward from the detached terminal over the
+// unbounded graph and reports whether it may reach a vertex that seeds
+// the forward search at a label below limit. It stops at the first such vertex or at the first popped label
+// at or above limit. A false answer proves the forward search rejects the
+// reroute: the two searches add the same edge costs in opposite order,
+// and limit covers the rounding between them (see integerCosts and
+// boundScale). Router.Bounds is ignored: an unbounded distance is a lower
+// bound of the bounded one. A cancelled search proves nothing and returns
+// true, so the forward search runs and meets the cancellation at its own
+// poll.
+func (r *Router) boundSearch(adj map[grid.VertexID][]grid.VertexID, termSet map[grid.VertexID]struct{}, term grid.VertexID, limit float64) bool {
+	r.nextEpoch()
+	r.heap = r.heap[:0]
+	r.seen[term] = r.epoch
+	r.dist[term] = 0
+	r.heap.push(pair{0, term})
+	pops, relaxations := 0, 0
+	defer func() {
+		mHeapPops.Add(int64(pops))
+		mRelaxations.Add(int64(relaxations))
+	}()
+	for len(r.heap) > 0 {
+		pops++
+		if pops%ctxCheckInterval == 0 && r.cancelled() {
+			return true
+		}
+		p := r.heap.pop()
+		if p.d > r.dist[p.id] { // stale entry
+			continue
+		}
+		if p.d >= limit {
+			return false
+		}
+		if seeds(adj, termSet, term, p.id) {
+			return true
+		}
+		r.nbrBuf = r.g.Neighbors(p.id, r.nbrBuf[:0])
+		for _, nb := range r.nbrBuf {
+			nd := p.d + nb.Cost
+			if r.seen[nb.ID] != r.epoch || nd < r.dist[nb.ID] {
+				relaxations++
+				r.seen[nb.ID] = r.epoch
+				r.dist[nb.ID] = nd
+				r.heap.push(pair{nd, nb.ID})
+			}
+		}
+	}
+	return false
+}
+
+// seeds reports whether v seeds the forward search that reroutes the
+// detached terminal term: a vertex still on the tree, or a terminal. The
+// terminal itself never does, or the "reroute" would reach itself at zero
+// cost and leave it disconnected.
+func seeds(adj map[grid.VertexID][]grid.VertexID, termSet map[grid.VertexID]struct{}, term, v grid.VertexID) bool {
+	return v != term && (len(adj[v]) > 0 || isTerm(termSet, v))
+}
+
+// integerCosts reports whether float64 path sums on g are exact: every
+// edge cost is an integer and a simple path's sum, at most |V| times the
+// largest cost, stays below 2^53. Then the forward and the bound search
+// compute the same label for the same path whatever the order of
+// addition, and the bound can use the forward comparison's own limit.
+func integerCosts(g *grid.Graph) bool {
+	maxCost := 0.0
+	integer := func(c float64) bool {
+		maxCost = max(maxCost, c)
+		return c == math.Trunc(c)
+	}
+	if g.M > 1 && !integer(g.ViaCost) {
+		return false
+	}
+	for m := 0; m < g.M; m++ {
+		for h := range g.DX {
+			if !integer(g.CostX(h, m)) {
+				return false
+			}
+		}
+		for v := range g.DY {
+			if !integer(g.CostY(v, m)) {
+				return false
+			}
+		}
+	}
+	return float64(g.NumVertices())*maxCost < 0x1p53
+}
+
+// boundScale is the factor that widens the limit when path sums round.
+// A simple path has k < n = |V| edges, and float64 addition of k positive
+// costs lands within a factor 1±γ of their exact sum, γ = nu/(1-nu) with
+// u = 2^-53. The forward label f of the detached terminal is such a sum
+// along its own path, so f ≥ (1-γ)D for the exact distance D to the
+// nearest source; the bound search labels that source at most (1+γ)D.
+// If the bound search finds no source below L·(1+4nu), then
+// (1+γ)D ≥ L·(1+4nu)(1-u)², the (1-u)² covering the rounding of the
+// scale and of the product, so f ≥ L·(1+4nu)(1-u)²(1-γ)/(1+γ) ≥ L for
+// any grid (nu ≤ 2^-22), and the forward search rejects.
+func boundScale(g *grid.Graph) float64 {
+	return 1 + float64(float64(4*g.NumVertices())*0x1p-53)
 }
 
 // danglingPath walks from a degree-1 terminal through degree-2

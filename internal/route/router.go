@@ -29,6 +29,7 @@ var (
 	mRelaxations   = obs.Default.Counter("route.relaxations")
 	mOARMSTBuilds  = obs.Default.Counter("route.oarmst_builds")
 	mRetracePasses = obs.Default.Counter("route.retrace_calls")
+	mRetraceSkips  = obs.Default.Counter("route.retrace_skips")
 )
 
 // ctxCheckInterval is how many heap pops (or BFS visits) pass between
@@ -248,50 +249,61 @@ type pair struct {
 	id grid.VertexID
 }
 
-type pairHeap []pair
-
-func (h pairHeap) less(i, j int) bool {
-	if h[i].d != h[j].d {
-		return h[i].d < h[j].d
-	}
-	return h[i].id < h[j].id
+// less is the strict (d, id) order every search pops in.
+func (p pair) less(q pair) bool {
+	return p.d < q.d || (p.d == q.d && p.id < q.id)
 }
 
+// pairHeap is a 4-ary min-heap under pair.less. Both sifts move a hole and
+// write the moving entry once. The order is total, so any correct heap
+// pops the same sequence: a search settles the same vertices with the
+// same labels whatever the arity.
+type pairHeap []pair
+
 func (h *pairHeap) push(p pair) {
-	*h = append(*h, p)
-	i := len(*h) - 1
+	s := append(*h, p)
+	i := len(s) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if (*h).less(parent, i) {
+		parent := (i - 1) / 4
+		if !p.less(s[parent]) {
 			break
 		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = p
+	*h = s
 }
 
 func (h *pairHeap) pop() pair {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && (*h).less(l, smallest) {
-			smallest = l
-		}
-		if r < n && (*h).less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if s[j].less(s[m]) {
+				m = j
+			}
+		}
+		if !s[m].less(last) {
+			break
+		}
+		s[i] = s[m]
+		i = m
 	}
+	s[i] = last
 	return top
 }
 

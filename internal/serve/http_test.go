@@ -177,6 +177,7 @@ func TestHTTPMetrics(t *testing.T) {
 		"oarsmt_serve_latency_bucket{le=\"+Inf\"} 1",
 		// Process-wide registry: the routed request ran Dijkstra searches.
 		"# TYPE oarsmt_route_searches counter",
+		"# TYPE oarsmt_route_retrace_skips counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q\nexposition:\n%s", want, text)
