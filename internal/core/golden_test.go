@@ -38,6 +38,11 @@ type goldenCase struct {
 	Edges     int    `json:"edges"`
 	Steiner   []int  `json:"steiner"`
 	Used      bool   `json:"usedSteiner"`
+	// Proposal is SelectSteinerPoints' pre-redundancy output and LogitHash
+	// an FNV-1a hash over the math.Float64bits of every logit, so a change
+	// to any inference bit fails even when no learned point is kept.
+	Proposal  []int  `json:"proposal"`
+	LogitHash uint64 `json:"logitHash"`
 }
 
 func goldenInstance(t *testing.T, c goldenCase) *layout.Instance {
@@ -69,11 +74,27 @@ func treeEdgeHash(edges []routeEdge) uint64 {
 
 type routeEdge struct{ a, b int }
 
+// logitHash folds the bits of every logit into an FNV-1a hash.
+func logitHash(logits []float64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, z := range logits {
+		b := math.Float64bits(z)
+		for i := range buf {
+			buf[i] = byte(b >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
 // TestGoldenRoutes routes a spread of layouts with the embedded pretrained
 // selector and compares every discrete and floating-point output bit for
 // bit against the recorded fixtures. It is the cross-version determinism
 // pin for the float64 inference path: tensor-kernel rewrites must keep the
-// routed trees, kept Steiner points and costs exactly identical.
+// logits, proposals, routed trees, kept Steiner points and costs exactly
+// identical. Seeds 1317 and 2239 are 16x16x4 layouts whose served tree
+// keeps a learned point (about 1 in 200 random layouts of that shape does).
 func TestGoldenRoutes(t *testing.T) {
 	sel, err := models.New()
 	if err != nil {
@@ -88,6 +109,8 @@ func TestGoldenRoutes(t *testing.T) {
 		{Seed: 104, H: 16, VDim: 16, M: 2, Pins: 7, Obstacles: 16},
 		{Seed: 105, H: 9, VDim: 14, M: 4, Pins: 5, Obstacles: 12},
 		{Seed: 106, H: 6, VDim: 6, M: 2, Pins: 3, Obstacles: 4},
+		{Seed: 1317, H: 16, VDim: 16, M: 4, Pins: 10, Obstacles: 12},
+		{Seed: 2239, H: 16, VDim: 16, M: 4, Pins: 10, Obstacles: 12},
 	}
 
 	got := make([]goldenCase, 0, len(specs))
@@ -109,6 +132,11 @@ func TestGoldenRoutes(t *testing.T) {
 			c.Steiner = append(c.Steiner, int(sp))
 		}
 		c.Used = res.UsedSteiner
+		c.Proposal = make([]int, 0, len(in.Pins))
+		for _, sp := range sel.SelectSteinerPoints(in.Graph, in.Pins) {
+			c.Proposal = append(c.Proposal, int(sp))
+		}
+		c.LogitHash = logitHash(sel.Logits(in.Graph, in.Pins))
 		got = append(got, c)
 	}
 
@@ -155,6 +183,12 @@ func TestGoldenRoutes(t *testing.T) {
 		if fmt.Sprint(g.Steiner) != fmt.Sprint(w.Steiner) || g.Used != w.Used {
 			t.Errorf("seed %d: steiner %v used=%v, golden %v used=%v",
 				g.Seed, g.Steiner, g.Used, w.Steiner, w.Used)
+		}
+		if fmt.Sprint(g.Proposal) != fmt.Sprint(w.Proposal) {
+			t.Errorf("seed %d: proposal %v, golden %v", g.Seed, g.Proposal, w.Proposal)
+		}
+		if g.LogitHash != w.LogitHash {
+			t.Errorf("seed %d: logit hash %016x, golden %016x", g.Seed, g.LogitHash, w.LogitHash)
 		}
 	}
 }
