@@ -64,7 +64,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 60*time.Second, "default per-request deadline (0 = none)")
 		seq        = flag.Bool("sequential", false, "sequential (n-2 inference) selection mode")
 		noGuard    = flag.Bool("no-guard", false, "disable guarded acceptance")
-		f32        = flag.Bool("f32", false, "float32 inference storage (faster, last-bit off the float64 reference)")
 		drainWait  = flag.Duration("drain", 30*time.Second, "max graceful-shutdown wait")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
@@ -135,7 +134,6 @@ func main() {
 			DefaultTimeout:      *timeout,
 			NoGuard:             *noGuard,
 			SequentialInference: *seq,
-			Float32:             *f32,
 		})
 		if err != nil {
 			log.Fatal(err)

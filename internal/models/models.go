@@ -27,8 +27,9 @@ var (
 )
 
 // Pretrained returns the embedded trained selector. The model is decoded
-// once and shared; selectors are not safe for concurrent inference, so
-// callers that need parallelism should Load a private copy with New.
+// once and shared; inference through it is safe from any number of
+// goroutines (see selector.Selector), but training it is not, so callers
+// that train should take a private copy with New.
 func Pretrained() (*selector.Selector, error) {
 	once.Do(func() {
 		pretrained, loadErr = selector.Load(bytes.NewReader(selectorGob))

@@ -31,8 +31,6 @@ type GroupNorm struct {
 	lastN   int // elements per group
 
 	ar *tensor.Arena
-	// Float32 inference-mode weight caches (converted once).
-	gamma32, beta32 *tensor.T32
 }
 
 // NewGroupNorm creates a GroupNorm over c channels in the given number of
@@ -164,52 +162,3 @@ func (g *GroupNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 func (g *GroupNorm) Params() []*Param { return []*Param{g.gamma, g.beta} }
 
 func (g *GroupNorm) setArena(a *tensor.Arena) { g.ar = a }
-
-// precompute32 converts the scale/shift weights for the float32 inference
-// mode.
-func (g *GroupNorm) precompute32() {
-	g.gamma32 = tensor.Convert32(g.gamma.W)
-	g.beta32 = tensor.Convert32(g.beta.W)
-}
-
-// forward32 is the inference-only float32 forward pass. The group mean and
-// variance accumulate in float64 — a float32 running sum over thousands of
-// elements loses enough precision to move the normalisation visibly — and
-// only the final per-element scale runs in float32. precompute32 must have
-// run.
-func (g *GroupNorm) forward32(a *tensor.Arena, x *tensor.T32) *tensor.T32 {
-	if x.Rank() != 4 || x.Dim(0) != g.C {
-		panic(fmt.Sprintf("nn: GroupNorm input shape %v, want [%d,H,V,M]", x.Shape, g.C))
-	}
-	spatial := x.Dim(1) * x.Dim(2) * x.Dim(3)
-	chPerGroup := g.C / g.Groups
-	n := float64(chPerGroup * spatial)
-
-	out := a.New32(x.Shape...)
-	g.forGroups(x.Len(), func(grp int) {
-		lo := grp * chPerGroup * spatial
-		hi := lo + chPerGroup*spatial
-		mu := 0.0
-		for _, v := range x.Data[lo:hi] {
-			mu += float64(v)
-		}
-		mu /= n
-		varSum := 0.0
-		for _, v := range x.Data[lo:hi] {
-			d := float64(v) - mu
-			varSum += float64(d * d)
-		}
-		std := math.Sqrt(varSum/n + g.Eps)
-		mu32 := float32(mu)
-		for c := grp * chPerGroup; c < (grp+1)*chPerGroup; c++ {
-			scale := float32(float64(g.gamma32.Data[c]) / std)
-			be := g.beta32.Data[c]
-			base := c * spatial
-			for i := 0; i < spatial; i++ {
-				// Rounded product, never fused: see forward.
-				out.Data[base+i] = float32(scale*(x.Data[base+i]-mu32)) + be
-			}
-		}
-	})
-	return out
-}

@@ -123,22 +123,21 @@ func TestInferRecordsNothing(t *testing.T) {
 	}
 }
 
-// TestForward32Concurrent runs the float32 inference pass from several
-// goroutines on one network, each with its own arena, and requires every
-// answer to be bit-identical to the serial one. Run under -race it also
-// proves the pass only reads the shared network.
-func TestForward32Concurrent(t *testing.T) {
+// TestInferConcurrent runs the inference pass from several goroutines on
+// one network, each with its own arena, and requires every answer to be
+// bit-identical to the serial one. Run under -race it also proves the pass
+// only reads the shared network.
+func TestInferConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for ni, u := range inferNets(t) {
-		u.Precompute32()
-		var xs []*tensor.T32
-		var want [][]float32
+		var xs []*tensor.Tensor
+		var want [][]float64
 		serial := tensor.NewArena()
 		for _, sh := range inferShapes {
-			x := tensor.Convert32(randTensor(r, u.Config.InChannels, sh[0], sh[1], sh[2]))
+			x := randTensor(r, u.Config.InChannels, sh[0], sh[1], sh[2])
 			xs = append(xs, x)
 			serial.Reset()
-			want = append(want, append([]float32(nil), u.Forward32(serial, x).Data...))
+			want = append(want, append([]float64(nil), u.Infer(serial, x).Data...))
 		}
 
 		const goroutines = 4
@@ -153,7 +152,7 @@ func TestForward32Concurrent(t *testing.T) {
 					for k := range xs {
 						i := (k + g) % len(xs)
 						a.Reset()
-						got := u.Forward32(a, xs[i]).Data
+						got := u.Infer(a, xs[i]).Data
 						for j := range got {
 							if got[j] != want[i][j] {
 								errs[g] = fmt.Errorf("input %d: element %d is %v, serial %v", i, j, got[j], want[i][j])

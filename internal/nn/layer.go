@@ -55,9 +55,6 @@ type Conv3D struct {
 
 	// ar, when set, provides activation and gradient storage.
 	ar *tensor.Arena
-	// w32/b32 cache the float32-converted weights of the inference mode;
-	// they are derived data, converted once and never trained.
-	w32, b32 *tensor.T32
 }
 
 // NewConv3D creates a conv layer with He-initialised weights.
@@ -102,20 +99,6 @@ func (c *Conv3D) Params() []*Param { return []*Param{c.weight, c.bias} }
 
 func (c *Conv3D) setArena(a *tensor.Arena) { c.ar = a }
 
-// precompute32 converts the weights for the float32 inference mode. The
-// cache goes stale if the weights are trained afterwards; the selector
-// only enables float32 on frozen inference instances.
-func (c *Conv3D) precompute32() {
-	c.w32 = tensor.Convert32(c.weight.W)
-	c.b32 = tensor.Convert32(c.bias.W)
-}
-
-// forward32 is the inference-only float32 forward pass; precompute32 must
-// have run.
-func (c *Conv3D) forward32(a *tensor.Arena, x *tensor.T32) *tensor.T32 {
-	return tensor.Conv3D32(a, x, c.w32, c.b32)
-}
-
 // ReLU is the rectified-linear activation.
 type ReLU struct {
 	lastX *tensor.Tensor
@@ -154,17 +137,6 @@ func (l *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 func (l *ReLU) Params() []*Param { return nil }
 
 func (l *ReLU) setArena(a *tensor.Arena) { l.ar = a }
-
-// relu32In is the stateless float32 ReLU of the inference mode.
-func relu32In(a *tensor.Arena, x *tensor.T32) *tensor.T32 {
-	out := a.New32(x.Shape...)
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		}
-	}
-	return out
-}
 
 // ResBlock is a 3-D convolutional residual block (He et al. [8]):
 // out = ReLU(x + Conv(ReLU(Conv(x)))). Channel count is preserved.
@@ -229,19 +201,6 @@ func (b *ResBlock) setArena(a *tensor.Arena) {
 	b.conv1.setArena(a)
 	b.conv2.setArena(a)
 	b.relu1.setArena(a)
-}
-
-// forward32 is the inference-only float32 forward pass; the sum+ReLU tail
-// is fused into one loop.
-func (b *ResBlock) forward32(a *tensor.Arena, x *tensor.T32) *tensor.T32 {
-	y := b.conv2.forward32(a, relu32In(a, b.conv1.forward32(a, x)))
-	out := a.New32(x.Shape...)
-	for i, v := range x.Data {
-		if s := v + y.Data[i]; s > 0 {
-			out.Data[i] = s
-		}
-	}
-	return out
 }
 
 // Sequential chains layers.

@@ -128,8 +128,8 @@ func NewUNet3D(r *rand.Rand, cfg UNetConfig) (*UNet3D, error) {
 // pass's activations and gradients — safe because training always
 // completes Backward before the next Forward. Callers must copy any
 // network output they keep across passes. Forward/Backward are
-// single-goroutine, which Layer already requires; Infer and Forward32 take
-// their arena per call and never touch this one.
+// single-goroutine, which Layer already requires; Infer takes its arena
+// per call and never touches this one.
 func (u *UNet3D) SetArena(a *tensor.Arena) {
 	u.arena = a
 	u.stem.setArena(a)
@@ -151,31 +151,6 @@ func (u *UNet3D) SetArena(a *tensor.Arena) {
 	}
 	for _, r := range u.relus {
 		r.setArena(a)
-	}
-}
-
-// Precompute32 converts all weights to the float32 caches used by
-// Forward32. Call once on a frozen inference network; training the
-// network afterwards leaves the caches stale.
-func (u *UNet3D) Precompute32() {
-	u.stem.precompute32()
-	u.head.precompute32()
-	for _, c := range u.encConv {
-		c.precompute32()
-	}
-	for _, c := range u.decConv {
-		c.precompute32()
-	}
-	for _, b := range u.encRes {
-		b.conv1.precompute32()
-		b.conv2.precompute32()
-	}
-	for _, b := range u.decRes {
-		b.conv1.precompute32()
-		b.conv2.precompute32()
-	}
-	for _, n := range u.norms {
-		n.precompute32()
 	}
 }
 
@@ -213,7 +188,7 @@ func (u *UNet3D) Infer(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	return u.forward(a, x, false)
 }
 
-// forward is the one float64 walk of the U shared by Forward and Infer.
+// forward is the one walk of the U shared by Forward and Infer.
 // Every level repeats one stage — conv, optional GroupNorm, ReLU, residual
 // block — whose ReLU/norm index runs stem, encoder levels 1..Depth, then
 // decoder levels Depth-1..0.
@@ -250,37 +225,6 @@ func (u *UNet3D) forward(a *tensor.Arena, x *tensor.Tensor, record bool) *tensor
 	}
 
 	out := u.head.forward(a, cur, record)
-	return out.Reshape(out.Dim(1), out.Dim(2), out.Dim(3))
-}
-
-// Forward32 is the float32 inference-mode forward pass: the walk of Infer
-// with float32 storage end to end, activations allocated from a and no
-// state recorded. Like Infer it is safe for concurrent use with one arena
-// per goroutine. Call Precompute32 (or selector.EnableFloat32) first on a
-// frozen network.
-func (u *UNet3D) Forward32(a *tensor.Arena, x *tensor.T32) *tensor.T32 {
-	u.checkInput(x.Shape)
-	stage := func(i int, conv *Conv3D, res *ResBlock, x *tensor.T32) *tensor.T32 {
-		y := conv.forward32(a, x)
-		if u.norms != nil {
-			y = u.norms[i].forward32(a, y)
-		}
-		return res.forward32(a, relu32In(a, y))
-	}
-	depth := u.Config.Depth
-
-	skips := make([]*tensor.T32, 0, depth)
-	cur := stage(0, u.stem, u.encRes[0], x)
-	for l := 1; l <= depth; l++ {
-		skips = append(skips, cur)
-		cur = stage(l, u.encConv[l-1], u.encRes[l], tensor.AvgPool232(a, cur))
-	}
-	for i := 0; i < depth; i++ {
-		skip := skips[depth-1-i]
-		up := tensor.UpsampleNearest32(a, cur, skip.Dim(1), skip.Dim(2), skip.Dim(3))
-		cur = stage(depth+1+i, u.decConv[i], u.decRes[i], tensor.ConcatC32(a, up, skip))
-	}
-	out := u.head.forward32(a, cur)
 	return out.Reshape(out.Dim(1), out.Dim(2), out.Dim(3))
 }
 

@@ -2,6 +2,7 @@ package selector
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -55,14 +56,12 @@ func TestFingerprintIdentifiesWeights(t *testing.T) {
 	}
 }
 
-// TestFingerprintUnchangedByFloat32Mode: float32 inference storage is
-// derived state of the same weights, so it must not look like a retrain to
-// the route store.
-func TestFingerprintUnchangedByFloat32Mode(t *testing.T) {
-	a := fpSelector(t, 3)
-	before := a.Fingerprint()
-	a.EnableFloat32()
-	if a.Fingerprint() != before {
-		t.Fatal("EnableFloat32 changed the fingerprint")
+// TestFingerprintPinned pins one fingerprint value, so a change to the
+// domain tag or the hashed fields is a deliberate fixture edit: every
+// persisted route store keys its records by this hash.
+func TestFingerprintPinned(t *testing.T) {
+	const want = "622fe61c510d249872b1982290dab54d679c3792edf1ef44c119f07d22bf9b03"
+	if got := fmt.Sprintf("%x", fpSelector(t, 1).Fingerprint()); got != want {
+		t.Fatalf("fingerprint %s, pinned %s", got, want)
 	}
 }

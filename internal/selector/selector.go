@@ -15,7 +15,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"oarsmt/internal/errs"
@@ -36,11 +35,6 @@ const NumFeatures = 7
 // must not overlap inference on the same selector.
 type Selector struct {
 	Net *nn.UNet3D
-
-	// useF32 switches inference to the float32 storage mode
-	// (EnableFloat32); training entry points keep using Net directly and
-	// stay float64.
-	useF32 bool
 }
 
 // arenas is the process-wide free list of inference scratch arenas. A
@@ -102,23 +96,6 @@ func NewRandom(r *rand.Rand, cfg nn.UNetConfig) (*Selector, error) {
 	}
 	return newSelector(net), nil
 }
-
-// EnableFloat32 switches this selector's inference to float32 storage:
-// all weights are converted once, and Logits/FSP/PolicySoftmax run the
-// float32 forward pass (about half the memory traffic). Results differ
-// from float64 in the last bits — validated against float64 within
-// tolerance by the package tests — so routing outcomes may differ on
-// near-ties; the float64 path stays the deterministic reference. Enable
-// only on frozen inference selectors, before sharing them across
-// goroutines: training a float32-enabled selector leaves the converted
-// weights stale.
-func (s *Selector) EnableFloat32() {
-	s.Net.Precompute32()
-	s.useF32 = true
-}
-
-// Float32Enabled reports whether the float32 inference mode is active.
-func (s *Selector) Float32Enabled() bool { return s.useF32 }
 
 // Encode builds the [7, H, V, M] feature volume of a state: the layout's
 // grid graph with the given pins, where previously selected Steiner points
@@ -185,26 +162,11 @@ func encodeInto(data []float64, g *grid.Graph, pins []grid.VertexID) {
 
 // logits runs one inference with all scratch — the feature volume and
 // every activation — taken from a, and returns the raw logits, valid until
-// a is reset. The float32 mode converts the result back to float64 so
-// every consumer sees one element type.
+// a is reset.
 func (s *Selector) logits(a *tensor.Arena, g *grid.Graph, pins []grid.VertexID) []float64 {
 	x := a.New(NumFeatures, g.H, g.V, g.M)
 	encodeInto(x.Data, g, pins)
-	if !s.useF32 {
-		return s.Net.Infer(a, x).Data
-	}
-	x32 := a.New32(x.Shape...)
-	for i, v := range x.Data {
-		x32.Data[i] = float32(v)
-	}
-	out32 := s.Net.Forward32(a, x32)
-	// Reuse the float64 feature volume for the widened logits: the forward
-	// pass is done with its input.
-	out := x.Data[:len(out32.Data)]
-	for i, v := range out32.Data {
-		out[i] = float64(v)
-	}
-	return out
+	return s.Net.Infer(a, x).Data
 }
 
 // Logits runs one network inference and returns the raw per-vertex logits
@@ -270,35 +232,32 @@ func ValidMask(g *grid.Graph, pins []grid.VertexID) []bool {
 
 // TopK returns the k valid vertices with the highest scores, in descending
 // score order with ties broken on smaller VertexID. Fewer than k vertices
-// are returned when fewer are valid.
+// are returned when fewer are valid. It keeps only the best k seen so far
+// in an insertion-sorted buffer: O(len(scores)·k) worst case, and callers
+// ask for at most a pin count of points.
 func TopK(scores []float64, mask []bool, k int) []grid.VertexID {
-	type cand struct {
-		id    grid.VertexID
-		score float64
-	}
-	cands := make([]cand, 0, len(scores))
+	k = max(min(k, len(scores)), 0)
+	top := make([]grid.VertexID, 0, k)
 	for i, sc := range scores {
-		if mask[i] {
-			cands = append(cands, cand{grid.VertexID(i), sc})
+		if !mask[i] {
+			continue
 		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
+		// Candidates arrive in ascending id, so one ranks above a kept
+		// vertex only on a strictly higher score.
+		if len(top) == k {
+			if k == 0 || !(sc > scores[top[k-1]]) {
+				continue
+			}
+		} else {
+			top = append(top, 0)
 		}
-		return cands[i].id < cands[j].id
-	})
-	if k > len(cands) {
-		k = len(cands)
+		j := len(top) - 1
+		for ; j > 0 && sc > scores[top[j-1]]; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = grid.VertexID(i)
 	}
-	if k < 0 {
-		k = 0
-	}
-	out := make([]grid.VertexID, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].id
-	}
-	return out
+	return top
 }
 
 // SelectSteinerPoints performs the paper's one-inference selection (§3.1):
@@ -329,11 +288,12 @@ func (s *Selector) PolicySoftmax(g *grid.Graph, pins []grid.VertexID) []float64 
 // follows the network's layer structure), so the fingerprint is stable
 // across processes and save/load round trips. The persistent route store
 // versions its records by this hash, so loading a retrained model cleanly
-// invalidates every stale route. The float32 inference mode does not
-// change the fingerprint: it is derived state of the same weights.
+// invalidates every stale route. The domain tag is versioned: v2 marks the
+// removal of the reduced-precision inference mode, whose routes a v1 store
+// could hold.
 func (s *Selector) Fingerprint() [sha256.Size]byte {
 	h := sha256.New()
-	h.Write([]byte("oarsmt-selector-fp-v1"))
+	h.Write([]byte("oarsmt-selector-fp-v2"))
 	var buf [8]byte
 	putU64 := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
@@ -359,8 +319,7 @@ func (s *Selector) Save(w io.Writer) error { return s.Net.Save(w) }
 
 // Load reads a selector saved with Save. Any invalid model file —
 // truncated, corrupt, wrong version, wrong channel count — yields an
-// error matching errs.ErrInvalidModel. The float32 inference mode is not
-// part of the saved form: a loaded selector starts in float64 mode.
+// error matching errs.ErrInvalidModel.
 func Load(r io.Reader) (*Selector, error) {
 	net, err := nn.LoadUNet3D(r)
 	if err != nil {

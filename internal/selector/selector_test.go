@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"oarsmt/internal/grid"
@@ -187,6 +189,84 @@ func TestTopK(t *testing.T) {
 	}
 }
 
+// sortTopK is the full-sort TopK that the bounded selection replaced,
+// kept as its oracle: every valid vertex sorted by (score desc, id asc),
+// then the first k.
+func sortTopK(scores []float64, mask []bool, k int) []grid.VertexID {
+	type cand struct {
+		id    grid.VertexID
+		score float64
+	}
+	cands := make([]cand, 0, len(scores))
+	for i, sc := range scores {
+		if mask[i] {
+			cands = append(cands, cand{grid.VertexID(i), sc})
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].score != cands[j].score {
+			return cands[i].score > cands[j].score
+		}
+		return cands[i].id < cands[j].id
+	})
+	if k > len(cands) {
+		k = len(cands)
+	}
+	if k < 0 {
+		k = 0
+	}
+	out := make([]grid.VertexID, k)
+	for i := 0; i < k; i++ {
+		out[i] = cands[i].id
+	}
+	return out
+}
+
+// FuzzTopK holds the bounded selection to the full sort: scores quantised
+// to a few levels so ties are common, a fuzzed validity mask, and k from
+// below zero to above the candidate count.
+func FuzzTopK(f *testing.F) {
+	f.Add([]byte{3, 1, 3, 0, 2, 3, 1}, int16(3))
+	f.Add([]byte{}, int16(2))
+	f.Add([]byte{0xff, 0x80, 0x7f, 0x00, 0x81}, int16(-1))
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, int16(12))
+	f.Fuzz(func(t *testing.T, data []byte, k16 int16) {
+		scores := make([]float64, len(data))
+		mask := make([]bool, len(data))
+		for i, b := range data {
+			// Low bit: validity; the rest: one of 16 finite levels.
+			mask[i] = b&1 == 0
+			scores[i] = float64(int8(b)>>4) * 0.25
+		}
+		k := int(k16 % 300)
+		got, want := TopK(scores, mask, k), sortTopK(scores, mask, k)
+		if !slices.Equal(got, want) {
+			t.Fatalf("k=%d scores %v mask %v: TopK %v, sort %v", k, scores, mask, got, want)
+		}
+	})
+}
+
+// TestTopKMatchesSort runs the FuzzTopK comparison on random inputs of the
+// production size: 16x16x4 candidates, a few hundred masked out.
+func TestTopKMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 200; iter++ {
+		n := 1 + r.Intn(1024)
+		scores := make([]float64, n)
+		mask := make([]bool, n)
+		levels := 1 + r.Intn(40)
+		for i := range scores {
+			scores[i] = float64(r.Intn(levels)) / float64(levels)
+			mask[i] = r.Intn(4) != 0
+		}
+		for _, k := range []int{-1, 0, 1, 2, 8, 10, n / 2, n, n + 5} {
+			if got, want := TopK(scores, mask, k), sortTopK(scores, mask, k); !slices.Equal(got, want) {
+				t.Fatalf("iter %d k=%d: TopK %v, sort %v", iter, k, got, want)
+			}
+		}
+	}
+}
+
 func TestSelectSteinerPoints(t *testing.T) {
 	s := tinySelector(t)
 	g, _ := grid.NewUniform(5, 5, 2, 2)
@@ -268,70 +348,6 @@ func TestNewRandomRejectsWrongChannels(t *testing.T) {
 		nn.UNetConfig{InChannels: 3, Base: 2, Depth: 1, Kernel: 3})
 	if err == nil {
 		t.Error("wrong channel count should be rejected")
-	}
-}
-
-// TestFloat32LogitsCloseToFloat64 validates the float32 inference mode
-// end to end: same network, same state, logits within single-precision
-// tolerance of the float64 reference, and FSP/PolicySoftmax stay valid
-// distributions.
-func TestFloat32LogitsCloseToFloat64(t *testing.T) {
-	s := tinySelector(t)
-	g := grid.MustNew(6, 5, 2, []float64{1, 2, 3, 4, 5}, []float64{2, 2, 2, 2}, 3)
-	g.Block(g.Index(2, 2, 0))
-	pins := []grid.VertexID{g.Index(0, 0, 0), g.Index(5, 4, 1), g.Index(3, 1, 0)}
-
-	ref := s.Logits(g, pins)
-
-	var saved bytes.Buffer
-	if err := s.Save(&saved); err != nil {
-		t.Fatal(err)
-	}
-	s32, err := Load(&saved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s32.Float32Enabled() {
-		t.Fatal("freshly loaded selector reports float32 mode")
-	}
-	s32.EnableFloat32()
-	if !s32.Float32Enabled() {
-		t.Fatal("EnableFloat32 did not stick")
-	}
-
-	got := s32.Logits(g, pins)
-	if len(got) != len(ref) {
-		t.Fatalf("f32 logits length %d, want %d", len(got), len(ref))
-	}
-	for i := range ref {
-		scale := math.Max(1, math.Abs(ref[i]))
-		if d := math.Abs(got[i] - ref[i]); d > 1e-4*scale {
-			t.Fatalf("logit[%d]: f32 %v vs f64 %v (diff %v)", i, got[i], ref[i], d)
-		}
-	}
-
-	// Repeat on the same selector: the reused buffers must not leak state
-	// between calls.
-	again := s32.Logits(g, pins)
-	for i := range got {
-		if again[i] != got[i] {
-			t.Fatalf("second f32 inference differs at %d: %v vs %v", i, again[i], got[i])
-		}
-	}
-
-	fsp := s32.FSP(g, pins)
-	for i, p := range fsp {
-		if p < 0 || p > 1 || math.IsNaN(p) {
-			t.Fatalf("f32 fsp[%d] = %v out of [0,1]", i, p)
-		}
-	}
-	pol := s32.PolicySoftmax(g, pins)
-	sum := 0.0
-	for _, p := range pol {
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("f32 policy sums to %v", sum)
 	}
 }
 

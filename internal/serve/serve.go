@@ -62,7 +62,7 @@ type Config struct {
 	// Selector is the trained Steiner-point selector shared by every
 	// request. Required. Every scheduler lane infers through this one
 	// selector concurrently, so it must not be trained while the service
-	// runs; NewService switches it to float32 mode when Float32 is set.
+	// runs.
 	Selector *selector.Selector
 	// QueueSize bounds the job queue; <= 0 means 64.
 	QueueSize int
@@ -79,18 +79,11 @@ type Config struct {
 	// DefaultTimeout is applied to requests whose context has no
 	// deadline; <= 0 leaves them unbounded.
 	DefaultTimeout time.Duration
-	// RetracePasses and GuardedAcceptance configure the underlying
-	// core.Router; NewService defaults them to core.NewRouter's settings
-	// (one pass, guarded).
-	RetracePasses       int
+	// NoGuard and SequentialInference configure the underlying
+	// core.Router, which otherwise keeps core.NewRouter's settings (one
+	// retrace pass, guarded, one-shot inference).
 	NoGuard             bool
 	SequentialInference bool
-	// Float32 switches the selector to float32 inference storage
-	// (selector.EnableFloat32): roughly half the inference memory traffic
-	// in exchange for last-bit differences from the float64 reference,
-	// which can flip near-tie Steiner-point choices. Leave false when
-	// served routes must match offline float64 evaluation bit-for-bit.
-	Float32 bool
 	// StoreDir makes the cache persistent (internal/store): routed
 	// layouts are written through to checksummed segment files under this
 	// directory and reloaded on the next start, so a restarted daemon
@@ -140,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxVolume <= 0 {
 		c.MaxVolume = 1 << 20
-	}
-	if c.RetracePasses == 0 {
-		c.RetracePasses = 1
 	}
 	switch {
 	case c.MaxRetries == 0:
@@ -211,14 +201,7 @@ func NewService(cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("%w: serve: Config.Selector is required", errs.ErrInvalidConfig)
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Float32 {
-		cfg.Selector.EnableFloat32()
-	}
 	r := core.NewRouter(cfg.Selector)
-	r.RetracePasses = cfg.RetracePasses
-	if cfg.RetracePasses < 0 {
-		r.RetracePasses = 0
-	}
 	r.GuardedAcceptance = !cfg.NoGuard
 	if cfg.SequentialInference {
 		r.Mode = core.Sequential

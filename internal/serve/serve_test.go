@@ -297,23 +297,3 @@ func TestVolumeBudget(t *testing.T) {
 		t.Fatalf("oversized submission returned %v, want ErrTooLarge", err)
 	}
 }
-
-// TestFloat32ConfigEnablesSelectorMode pins that Config.Float32 switches
-// the shared selector to float32 inference and that the service still
-// serves valid routes in that mode.
-func TestFloat32ConfigEnablesSelectorMode(t *testing.T) {
-	sel := tinySelector(t)
-	s := newTestService(t, Config{Selector: sel, Float32: true})
-	if !sel.Float32Enabled() {
-		t.Fatal("Config.Float32 did not enable the selector's float32 mode")
-	}
-
-	in := serveInstance(t, 900, 6, 6, 2, 4)
-	resp, err := s.Submit(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Cost <= 0 || resp.Degraded {
-		t.Fatalf("float32 serve: cost %v degraded=%v", resp.Cost, resp.Degraded)
-	}
-}

@@ -19,23 +19,9 @@ func Conv3D(x, w, b *Tensor) *Tensor { return Conv3DIn(nil, x, w, b) }
 // Conv3DIn is Conv3D with the output allocated from the arena (heap when
 // a is nil).
 func Conv3DIn(a *Arena, x, w, b *Tensor) *Tensor {
-	sh := convCheck(x.Shape, w.Shape, b)
+	sh := convCheck(x, w, b)
 	out := a.New(sh.outC, sh.h, sh.v, sh.m)
 	var bias []float64
-	if b != nil {
-		bias = b.Data
-	}
-	convForward(out.Data, x.Data, w.Data, bias, sh)
-	return out
-}
-
-// Conv3D32 is the float32 inference-mode convolution: same shapes and
-// tap order as Conv3D, computed in float32 throughout. w and b are the
-// once-converted weights (Convert32).
-func Conv3D32(a *Arena, x, w, b *T32) *T32 {
-	sh := convCheck32(x.Shape, w.Shape, b)
-	out := a.New32(sh.outC, sh.h, sh.v, sh.m)
-	var bias []float32
 	if b != nil {
 		bias = b.Data
 	}
@@ -53,7 +39,7 @@ func Conv3DBackward(x, w, gradOut *Tensor) (gradX, gradW, gradB *Tensor) {
 // Conv3DBackwardIn is Conv3DBackward with the three gradients allocated
 // from the arena. On the heap path they share one backing allocation.
 func Conv3DBackwardIn(a *Arena, x, w, gradOut *Tensor) (gradX, gradW, gradB *Tensor) {
-	sh := convCheck(x.Shape, w.Shape, nil)
+	sh := convCheck(x, w, nil)
 	if gradOut.Rank() != 4 || gradOut.Dim(0) != sh.outC || gradOut.Dim(1) != sh.h ||
 		gradOut.Dim(2) != sh.v || gradOut.Dim(3) != sh.m {
 		panic(fmt.Sprintf("tensor: gradOut shape %v for input %v", gradOut.Shape, x.Shape))
@@ -75,37 +61,25 @@ func Conv3DBackwardIn(a *Arena, x, w, gradOut *Tensor) (gradX, gradW, gradB *Ten
 
 // convCheck validates forward/backward shapes and returns the call's
 // dimensions.
-func convCheck(xShape, wShape []int, b *Tensor) convShape {
-	inC, h, v, m := convDims4(xShape)
-	outC, k := convKernelDims5(wShape, inC)
+func convCheck(x, w, b *Tensor) convShape {
+	inC, h, v, m := convDims(x)
+	outC, k := convKernelDims(w, inC)
 	if b != nil && (b.Rank() != 1 || b.Dim(0) != outC) {
 		panic(fmt.Sprintf("tensor: bias shape %v for %d output channels", b.Shape, outC))
 	}
 	return convShape{inC: inC, outC: outC, h: h, v: v, m: m, k: k}
 }
 
-// convCheck32 is convCheck for the float32 types.
-func convCheck32(xShape, wShape []int, b *T32) convShape {
-	inC, h, v, m := convDims4(xShape)
-	outC, k := convKernelDims5(wShape, inC)
-	if b != nil && (len(b.Shape) != 1 || b.Shape[0] != outC) {
-		panic(fmt.Sprintf("tensor: bias shape %v for %d output channels", b.Shape, outC))
-	}
-	return convShape{inC: inC, outC: outC, h: h, v: v, m: m, k: k}
-}
-
-func convDims(x *Tensor) (c, h, v, m int) { return convDims4(x.Shape) }
-
-func convKernelDims(w *Tensor, inC int) (outC, k int) { return convKernelDims5(w.Shape, inC) }
-
-func convDims4(shape []int) (c, h, v, m int) {
+func convDims(x *Tensor) (c, h, v, m int) {
+	shape := x.Shape
 	if len(shape) != 4 {
 		panic(fmt.Sprintf("tensor: conv input rank %d, want 4 [C,H,V,M]", len(shape)))
 	}
 	return shape[0], shape[1], shape[2], shape[3]
 }
 
-func convKernelDims5(shape []int, inC int) (outC, k int) {
+func convKernelDims(w *Tensor, inC int) (outC, k int) {
+	shape := w.Shape
 	if len(shape) != 5 {
 		panic(fmt.Sprintf("tensor: kernel rank %d, want 5 [OutC,InC,K,K,K]", len(shape)))
 	}
@@ -119,16 +93,23 @@ func convKernelDims5(shape []int, inC int) (outC, k int) {
 	return shape[0], k
 }
 
-// avgPool2Core downsamples by 2 with ceil semantics: per output cell the
-// covered inputs are summed in ascending (dh, dv, dm) order and divided by
-// the window size. Channels shard over the pool; a channel never splits,
-// so results are worker-count independent.
-func avgPool2Core[F num](out, x []F, c, h, v, m int) {
+// AvgPool2 downsamples [C, H, V, M] by a factor of 2 in each spatial
+// dimension with ceil semantics: output dims are ceil(d/2) and border
+// cells average only the inputs they cover, summed in ascending
+// (dh, dv, dm) order and divided by the window size. Channels shard over
+// the worker pool; a channel never splits, so results are worker-count
+// independent.
+func AvgPool2(x *Tensor) *Tensor { return AvgPool2In(nil, x) }
+
+// AvgPool2In is AvgPool2 with the output allocated from the arena.
+func AvgPool2In(a *Arena, x *Tensor) *Tensor {
+	c, h, v, m := convDims(x)
 	oh, ov, om := (h+1)/2, (v+1)/2, (m+1)/2
+	out := a.New(c, oh, ov, om)
 	parallel.ForWork(c*h*v*m, c, func(_, lo, hi int) {
 		for cc := lo; cc < hi; cc++ {
-			src := x[cc*h*v*m : (cc+1)*h*v*m]
-			dst := out[cc*oh*ov*om : (cc+1)*oh*ov*om]
+			src := x.Data[cc*h*v*m : (cc+1)*h*v*m]
+			dst := out.Data[cc*oh*ov*om : (cc+1)*oh*ov*om]
 			di := 0
 			for hh := 0; hh < oh; hh++ {
 				h0 := 2 * hh
@@ -139,7 +120,7 @@ func avgPool2Core[F num](out, x []F, c, h, v, m int) {
 					for mm := 0; mm < om; mm++ {
 						m0 := 2 * mm
 						mn := min(2, m-m0)
-						var sum F
+						var sum float64
 						for dh := 0; dh < hn; dh++ {
 							rowBase := ((h0+dh)*v + v0) * m
 							for dv := 0; dv < vn; dv++ {
@@ -149,33 +130,13 @@ func avgPool2Core[F num](out, x []F, c, h, v, m int) {
 								}
 							}
 						}
-						dst[di] = sum / F(hn*vn*mn)
+						dst[di] = sum / float64(hn*vn*mn)
 						di++
 					}
 				}
 			}
 		}
 	})
-}
-
-// AvgPool2 downsamples [C, H, V, M] by a factor of 2 in each spatial
-// dimension with ceil semantics: output dims are ceil(d/2) and border
-// cells average only the inputs they cover.
-func AvgPool2(x *Tensor) *Tensor { return AvgPool2In(nil, x) }
-
-// AvgPool2In is AvgPool2 with the output allocated from the arena.
-func AvgPool2In(a *Arena, x *Tensor) *Tensor {
-	c, h, v, m := convDims(x)
-	out := a.New(c, (h+1)/2, (v+1)/2, (m+1)/2)
-	avgPool2Core(out.Data, x.Data, c, h, v, m)
-	return out
-}
-
-// AvgPool232 is the float32 AvgPool2.
-func AvgPool232(a *Arena, x *T32) *T32 {
-	c, h, v, m := convDims4(x.Shape)
-	out := a.New32(c, (h+1)/2, (v+1)/2, (m+1)/2)
-	avgPool2Core(out.Data, x.Data, c, h, v, m)
 	return out
 }
 
@@ -225,13 +186,23 @@ func AvgPool2BackwardIn(a *Arena, inShape []int, gradOut *Tensor) *Tensor {
 	return gx
 }
 
-// upsampleCore resizes [C, sh, sv, sm] to [C, h, v, m] by nearest
-// neighbour (source index = floor(out · src / dst)).
-func upsampleCore[F num](out, x []F, c, sh, sv, sm, h, v, m int) {
+// UpsampleNearest resizes [C, h, v, m] to [C, H, V, M] by nearest-neighbour
+// sampling (source index = floor(out · src / dst)). It is the exact
+// inverse pairing of AvgPool2's ceil-mode dims, so U-Net skip connections
+// always line up regardless of odd input sizes.
+func UpsampleNearest(x *Tensor, h, v, m int) *Tensor {
+	return UpsampleNearestIn(nil, x, h, v, m)
+}
+
+// UpsampleNearestIn is UpsampleNearest with the output allocated from the
+// arena.
+func UpsampleNearestIn(a *Arena, x *Tensor, h, v, m int) *Tensor {
+	c, sh, sv, sm := convDims(x)
+	out := a.New(c, h, v, m)
 	parallel.ForWork(c*h*v*m, c, func(_, lo, hi int) {
 		for cc := lo; cc < hi; cc++ {
-			src := x[cc*sh*sv*sm : (cc+1)*sh*sv*sm]
-			dst := out[cc*h*v*m : (cc+1)*h*v*m]
+			src := x.Data[cc*sh*sv*sm : (cc+1)*sh*sv*sm]
+			dst := out.Data[cc*h*v*m : (cc+1)*h*v*m]
 			di := 0
 			for hh := 0; hh < h; hh++ {
 				shh := hh * sh / h
@@ -246,29 +217,6 @@ func upsampleCore[F num](out, x []F, c, sh, sv, sm, h, v, m int) {
 			}
 		}
 	})
-}
-
-// UpsampleNearest resizes [C, h, v, m] to [C, H, V, M] by nearest-neighbour
-// sampling. It is the exact inverse pairing of AvgPool2's ceil-mode dims,
-// so U-Net skip connections always line up regardless of odd input sizes.
-func UpsampleNearest(x *Tensor, h, v, m int) *Tensor {
-	return UpsampleNearestIn(nil, x, h, v, m)
-}
-
-// UpsampleNearestIn is UpsampleNearest with the output allocated from the
-// arena.
-func UpsampleNearestIn(a *Arena, x *Tensor, h, v, m int) *Tensor {
-	c, sh, sv, sm := convDims(x)
-	out := a.New(c, h, v, m)
-	upsampleCore(out.Data, x.Data, c, sh, sv, sm, h, v, m)
-	return out
-}
-
-// UpsampleNearest32 is the float32 UpsampleNearest.
-func UpsampleNearest32(a *Arena, x *T32, h, v, m int) *T32 {
-	c, sh, sv, sm := convDims4(x.Shape)
-	out := a.New32(c, h, v, m)
-	upsampleCore(out.Data, x.Data, c, sh, sv, sm, h, v, m)
 	return out
 }
 
@@ -317,19 +265,6 @@ func ConcatCIn(ar *Arena, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: ConcatC spatial mismatch %v vs %v", a.Shape, b.Shape))
 	}
 	out := ar.New(ca+cb, h, v, m)
-	copy(out.Data[:len(a.Data)], a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
-	return out
-}
-
-// ConcatC32 is the float32 ConcatC.
-func ConcatC32(ar *Arena, a, b *T32) *T32 {
-	ca, h, v, m := convDims4(a.Shape)
-	cb, h2, v2, m2 := convDims4(b.Shape)
-	if h != h2 || v != v2 || m != m2 {
-		panic(fmt.Sprintf("tensor: ConcatC spatial mismatch %v vs %v", a.Shape, b.Shape))
-	}
-	out := ar.New32(ca+cb, h, v, m)
 	copy(out.Data[:len(a.Data)], a.Data)
 	copy(out.Data[len(a.Data):], b.Data)
 	return out

@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the im2col + blocked-GEMM convolution engine shared by the
-// float64 training path and the float32 inference mode.
+// training and inference passes.
 //
 // A "same" 3-D convolution over x[InC][H][V][M] with kernel w[OutC][InC][K³]
 // is lowered to a matrix multiply
@@ -26,7 +26,7 @@ import (
 //
 // Every output element accumulates its terms in strictly ascending j order
 // from a bias-initialised single accumulator, written as separate
-// `s += F(w*c)` statements. Go never reassociates floating-point
+// `s += float64(w*c)` statements. Go never reassociates floating-point
 // expressions, but the spec lets it fuse x*y + z into one multiply-add,
 // and on arm64 it does; the explicit conversion rounds the product, which
 // rules the fusion out. So the result is bit-identical on every GOARCH to
@@ -39,9 +39,6 @@ import (
 // On amd64 with AVX2 the forward tile runs on the assembly panels of
 // kernel_amd64.s (convFwdTileAVX2), which keep the same chain in every
 // vector lane: a separate VMULPD and VADDPD per tap, no FMA.
-
-// num is the element domain of the generic kernels.
-type num interface{ ~float32 | ~float64 }
 
 // convShape carries the dimensions of one convolution call.
 type convShape struct {
@@ -65,18 +62,18 @@ const convTile = 256
 
 // convScratch is one worker's reusable tile buffer: nRows patch rows of
 // convTile elements carved out of a single backing slice.
-type convScratch[F num] struct {
-	buf  []F
-	rows [][]F
+type convScratch struct {
+	buf  []float64
+	rows [][]float64
 }
 
-func (s *convScratch[F]) ensure(nRows, width int) [][]F {
+func (s *convScratch) ensure(nRows, width int) [][]float64 {
 	if need := nRows * width; cap(s.buf) < need {
-		s.buf = make([]F, need)
+		s.buf = make([]float64, need)
 	}
 	buf := s.buf[:nRows*width]
 	if cap(s.rows) < nRows {
-		s.rows = make([][]F, nRows)
+		s.rows = make([][]float64, nRows)
 	}
 	s.rows = s.rows[:nRows]
 	for i := range s.rows {
@@ -85,29 +82,9 @@ func (s *convScratch[F]) ensure(nRows, width int) [][]F {
 	return s.rows
 }
 
-// The scratch pools keep per-worker tile buffers alive across calls, so a
+// scratchPool keeps per-worker tile buffers alive across calls, so a
 // steady-state convolution performs no heap allocation beyond its output.
-var (
-	scratch64Pool = sync.Pool{New: func() any { return new(convScratch[float64]) }}
-	scratch32Pool = sync.Pool{New: func() any { return new(convScratch[float32]) }}
-)
-
-func getScratch[F num]() *convScratch[F] {
-	var z F
-	if _, is64 := any(z).(float64); is64 {
-		return scratch64Pool.Get().(*convScratch[F])
-	}
-	return scratch32Pool.Get().(*convScratch[F])
-}
-
-func putScratch[F num](s *convScratch[F]) {
-	var z F
-	if _, is64 := any(z).(float64); is64 {
-		scratch64Pool.Put(s)
-	} else {
-		scratch32Pool.Put(s)
-	}
-}
+var scratchPool = sync.Pool{New: func() any { return new(convScratch) }}
 
 // im2colRow fills dst[0 : t1-t0] with patch row (dh, dv, dm) of channel
 // plane xc over output positions [t0, t1): dst[p-t0] = xc at the flat
@@ -115,7 +92,7 @@ func putScratch[F num](s *convScratch[F]) {
 // bulk is one flat copy at offset (dh·V+dv)·M+dm; the flat shift wrongly
 // wraps values across M-row and V-plane ends, so those border positions
 // are zeroed afterwards (their true source is padding).
-func im2colRow[F num](dst, xc []F, h, v, m, dh, dv, dm, t0, t1 int) {
+func im2colRow(dst, xc []float64, h, v, m, dh, dv, dm, t0, t1 int) {
 	off := (dh*v+dv)*m + dm
 	plane := h * v * m
 	dst = dst[:t1-t0]
@@ -141,7 +118,7 @@ func im2colRow[F num](dst, xc []F, h, v, m, dh, dv, dm, t0, t1 int) {
 // whose tap (dh, dv, dm) falls outside the volume: a whole flat band of H
 // planes for dh, a V-row band per plane for dv, and |dm| strided elements
 // per M-row for dm.
-func zeroBorders[F num](dst []F, h, v, m, dh, dv, dm, t0, t1 int) {
+func zeroBorders(dst []float64, h, v, m, dh, dv, dm, t0, t1 int) {
 	vm := v * m
 	if dh != 0 {
 		var lo, hi int
@@ -195,7 +172,7 @@ func zeroBorders[F num](dst []F, h, v, m, dh, dv, dm, t0, t1 int) {
 // of thin dimensions are one or two elements wide, and there are many per
 // tile; those go through plain stores — a memclr call per 8–16 bytes costs
 // more than the clearing itself.
-func zeroSpan[F num](dst []F, lo, hi, t0, t1 int) {
+func zeroSpan(dst []float64, lo, hi, t0, t1 int) {
 	lo = max(lo, t0)
 	hi = min(hi, t1)
 	if hi-lo <= 0 {
@@ -213,7 +190,7 @@ func zeroSpan[F num](dst []F, lo, hi, t0, t1 int) {
 // buildColsIC fills rows[0 : K³] with the patch rows of input channel
 // plane xc for tile [t0, t1), in ascending (kh, kv, km) order. For K == 1
 // the single row is a direct view of the channel plane — no copy.
-func buildColsIC[F num](rows [][]F, xc []F, sh convShape, t0, t1 int) {
+func buildColsIC(rows [][]float64, xc []float64, sh convShape, t0, t1 int) {
 	if sh.k == 1 {
 		rows[0] = xc[t0:t1]
 		return
@@ -234,7 +211,7 @@ func buildColsIC[F num](rows [][]F, xc []F, sh convShape, t0, t1 int) {
 // four consecutive reduction terms each, with the column loads shared.
 // The four adds per element are separate statements on one accumulator,
 // preserving the ascending-j chain.
-func fwdAxpy4x2[F num](a, b, wa, wb, c0, c1, c2, c3 []F) {
+func fwdAxpy4x2(a, b, wa, wb, c0, c1, c2, c3 []float64) {
 	wa0, wa1, wa2, wa3 := wa[0], wa[1], wa[2], wa[3]
 	wb0, wb1, wb2, wb3 := wb[0], wb[1], wb[2], wb[3]
 	b = b[:len(a)]
@@ -245,23 +222,23 @@ func fwdAxpy4x2[F num](a, b, wa, wb, c0, c1, c2, c3 []F) {
 	for i := range a {
 		x0, x1, x2, x3 := c0[i], c1[i], c2[i], c3[i]
 		s := a[i]
-		s += F(wa0 * x0)
-		s += F(wa1 * x1)
-		s += F(wa2 * x2)
-		s += F(wa3 * x3)
+		s += float64(wa0 * x0)
+		s += float64(wa1 * x1)
+		s += float64(wa2 * x2)
+		s += float64(wa3 * x3)
 		a[i] = s
 		u := b[i]
-		u += F(wb0 * x0)
-		u += F(wb1 * x1)
-		u += F(wb2 * x2)
-		u += F(wb3 * x3)
+		u += float64(wb0 * x0)
+		u += float64(wb1 * x1)
+		u += float64(wb2 * x2)
+		u += float64(wb3 * x3)
 		b[i] = u
 	}
 }
 
 // fwdAxpy4 is the single-row tail of fwdAxpy4x2 for odd output-channel
 // counts.
-func fwdAxpy4[F num](a, wa, c0, c1, c2, c3 []F) {
+func fwdAxpy4(a, wa, c0, c1, c2, c3 []float64) {
 	wa0, wa1, wa2, wa3 := wa[0], wa[1], wa[2], wa[3]
 	c0 = c0[:len(a)]
 	c1 = c1[:len(a)]
@@ -269,19 +246,19 @@ func fwdAxpy4[F num](a, wa, c0, c1, c2, c3 []F) {
 	c3 = c3[:len(a)]
 	for i := range a {
 		s := a[i]
-		s += F(wa0 * c0[i])
-		s += F(wa1 * c1[i])
-		s += F(wa2 * c2[i])
-		s += F(wa3 * c3[i])
+		s += float64(wa0 * c0[i])
+		s += float64(wa1 * c1[i])
+		s += float64(wa2 * c2[i])
+		s += float64(wa3 * c3[i])
 		a[i] = s
 	}
 }
 
 // axpy accumulates dst += w·src elementwise.
-func axpy[F num](dst []F, w F, src []F) {
+func axpy(dst []float64, w float64, src []float64) {
 	src = src[:len(dst)]
 	for i := range dst {
-		dst[i] += F(w * src[i])
+		dst[i] += float64(w * src[i])
 	}
 }
 
@@ -289,7 +266,7 @@ func axpy[F num](dst []F, w F, src []F) {
 // output panel of tile [t0, t1): ascending-j blocks of four, paired output
 // channels. rows were built by buildColsIC for the same tile; jBase is the
 // flat reduction index of (ic, 0, 0, 0).
-func convFwdTile[F num](out, w []F, rows [][]F, sh convShape, jBase, t0, t1 int) {
+func convFwdTile(out, w []float64, rows [][]float64, sh convShape, jBase, t0, t1 int) {
 	if hasAVX2 {
 		convFwdTileAVX2(out, w, rows, sh, jBase, t0, t1)
 		return
@@ -319,19 +296,19 @@ func convFwdTile[F num](out, w []F, rows [][]F, sh convShape, jBase, t0, t1 int)
 // worker pool by multiply-add work, each tile bias-initialised and then
 // accumulated one input channel at a time (global j order stays
 // ascending: ic-major, tap-minor).
-func convForward[F num](out, x, w, bias []F, sh convShape) {
+func convForward(out, x, w, bias []float64, sh convShape) {
 	N := sh.n()
 	k3 := sh.k * sh.k * sh.k
 	nTiles := (N + convTile - 1) / convTile
 	parallel.ForWork(sh.macs(), nTiles, func(_, tlo, thi int) {
-		sc := getScratch[F]()
+		sc := scratchPool.Get().(*convScratch)
 		rows := sc.ensure(k3, convTile)
 		for t := tlo; t < thi; t++ {
 			t0 := t * convTile
 			t1 := min(t0+convTile, N)
 			for oc := 0; oc < sh.outC; oc++ {
 				seg := out[oc*N+t0 : oc*N+t1]
-				var b F
+				var b float64
 				if bias != nil {
 					b = bias[oc]
 				}
@@ -344,36 +321,36 @@ func convForward[F num](out, x, w, bias []F, sh convShape) {
 				convFwdTile(out, w, rows, sh, ic*k3, t0, t1)
 			}
 		}
-		putScratch(sc)
+		scratchPool.Put(sc)
 	})
 }
 
 // dot2 returns the dot products of g with two patch rows, sharing the g
 // loads; each accumulates in ascending position order.
-func dot2[F num](c0, c1, g []F) (F, F) {
+func dot2(c0, c1, g []float64) (float64, float64) {
 	c0 = c0[:len(g)]
 	c1 = c1[:len(g)]
-	var a0, a1 F
+	var a0, a1 float64
 	for i := range g {
 		gv := g[i]
-		a0 += F(gv * c0[i])
-		a1 += F(gv * c1[i])
+		a0 += float64(gv * c0[i])
+		a1 += float64(gv * c1[i])
 	}
 	return a0, a1
 }
 
 // dot returns the dot product of g with one patch row.
-func dot[F num](c, g []F) F {
+func dot(c, g []float64) float64 {
 	c = c[:len(g)]
-	var a F
+	var a float64
 	for i := range g {
-		a += F(g[i] * c[i])
+		a += float64(g[i] * c[i])
 	}
 	return a
 }
 
 // colGrad4 accumulates four patch-gradient rows: cX += w[X]·g.
-func colGrad4[F num](c0, c1, c2, c3, w, g []F) {
+func colGrad4(c0, c1, c2, c3, w, g []float64) {
 	w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
 	c0 = c0[:len(g)]
 	c1 = c1[:len(g)]
@@ -381,10 +358,10 @@ func colGrad4[F num](c0, c1, c2, c3, w, g []F) {
 	c3 = c3[:len(g)]
 	for i := range g {
 		gv := g[i]
-		c0[i] += F(w0 * gv)
-		c1[i] += F(w1 * gv)
-		c2[i] += F(w2 * gv)
-		c3[i] += F(w3 * gv)
+		c0[i] += float64(w0 * gv)
+		c1[i] += float64(w1 * gv)
+		c2[i] += float64(w2 * gv)
+		c3[i] += float64(w3 * gv)
 	}
 }
 
@@ -394,7 +371,7 @@ func colGrad4[F num](c0, c1, c2, c3, w, g []F) {
 // accumulates the patch-gradient rows over ascending output channels, and
 // scatter-adds them back (col2im): the exact transpose of the forward
 // flat-shift, with the padding taps' gradients zeroed first.
-func convBackwardIC[F num](gradX, gradW, x, w, gradOut []F, sh convShape, ic int, colRows, cgRows [][]F) {
+func convBackwardIC(gradX, gradW, x, w, gradOut []float64, sh convShape, ic int, colRows, cgRows [][]float64) {
 	N, J, outC, k := sh.n(), sh.j(), sh.outC, sh.k
 	k3 := k * k * k
 	p := k / 2
@@ -463,13 +440,13 @@ func convBackwardIC[F num](gradX, gradW, x, w, gradOut []F, sh convShape, ic int
 // over input channels, whose outputs are disjoint. All three outputs must
 // arrive zeroed. Results are bit-identical at any worker count because a
 // channel never splits across shards.
-func convBackward[F num](gradX, gradW, gradB, x, w, gradOut []F, sh convShape) {
+func convBackward(gradX, gradW, gradB, x, w, gradOut []float64, sh convShape) {
 	N := sh.n()
 	k3 := sh.k * sh.k * sh.k
 	parallel.ForWork(sh.outC*N, sh.outC, func(_, lo, hi int) {
 		for oc := lo; oc < hi; oc++ {
 			g := gradOut[oc*N : (oc+1)*N]
-			var sum F
+			var sum float64
 			for _, v := range g {
 				sum += v
 			}
@@ -477,12 +454,12 @@ func convBackward[F num](gradX, gradW, gradB, x, w, gradOut []F, sh convShape) {
 		}
 	})
 	parallel.ForWork(2*sh.macs(), sh.inC, func(_, lo, hi int) {
-		sc := getScratch[F]()
+		sc := scratchPool.Get().(*convScratch)
 		rows := sc.ensure(2*k3, convTile)
 		colRows, cgRows := rows[:k3], rows[k3:]
 		for ic := lo; ic < hi; ic++ {
 			convBackwardIC(gradX, gradW, x, w, gradOut, sh, ic, colRows, cgRows)
 		}
-		putScratch(sc)
+		scratchPool.Put(sc)
 	})
 }

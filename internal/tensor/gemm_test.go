@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -42,60 +41,6 @@ func TestConv3DBitEqualNaive(t *testing.T) {
 	}
 }
 
-// TestConv3D32MatchesFloat64 validates the float32 inference kernel
-// against the float64 reference within single-precision tolerance.
-func TestConv3D32MatchesFloat64(t *testing.T) {
-	r := rand.New(rand.NewSource(22))
-	for _, c := range convCases {
-		x := randTensor(r, c.inC, c.h, c.v, c.m)
-		w := randTensor(r, c.outC, c.inC, c.k, c.k, c.k)
-		b := randTensor(r, c.outC)
-		want := Conv3D(x, w, b)
-		got := Conv3D32(nil, Convert32(x), Convert32(w), Convert32(b))
-		// Bound the error by the reduction length: each output sums
-		// inC·K³ products of O(1) operands, each rounded to float32.
-		tol := 1e-5 * float64(c.inC*c.k*c.k*c.k)
-		for i := range want.Data {
-			if d := math.Abs(float64(got.Data[i]) - want.Data[i]); d > tol {
-				t.Fatalf("case %+v: f32 out[%d] = %v, f64 %v (diff %v > %v)",
-					c, i, got.Data[i], want.Data[i], d, tol)
-			}
-		}
-	}
-}
-
-// TestPool32Upsample32Concat32 validates the remaining float32 kernels
-// against their float64 counterparts.
-func TestPool32Upsample32Concat32(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	x := randTensor(r, 3, 6, 5, 4)
-	y := randTensor(r, 2, 6, 5, 4)
-
-	pool := AvgPool2(x)
-	pool32 := AvgPool232(nil, Convert32(x))
-	for i := range pool.Data {
-		if d := math.Abs(float64(pool32.Data[i]) - pool.Data[i]); d > 1e-6 {
-			t.Fatalf("AvgPool232[%d] diff %v", i, d)
-		}
-	}
-
-	up := UpsampleNearest(pool, 6, 5, 4)
-	up32 := UpsampleNearest32(nil, pool32, 6, 5, 4)
-	for i := range up.Data {
-		if d := math.Abs(float64(up32.Data[i]) - up.Data[i]); d > 1e-6 {
-			t.Fatalf("UpsampleNearest32[%d] diff %v", i, d)
-		}
-	}
-
-	cat := ConcatC(x, y)
-	cat32 := ConcatC32(nil, Convert32(x), Convert32(y))
-	for i := range cat.Data {
-		if float64(cat32.Data[i]) != float64(float32(cat.Data[i])) {
-			t.Fatalf("ConcatC32[%d] = %v, want %v", i, cat32.Data[i], float32(cat.Data[i]))
-		}
-	}
-}
-
 // TestArenaReuseAndReset pins the arena contract: allocations are zeroed,
 // Reset recycles the same backing memory instead of growing, and the nil
 // arena degrades to plain heap allocation.
@@ -120,17 +65,6 @@ func TestArenaReuseAndReset(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("recycled tensor not zeroed at %d: %v", i, v)
 		}
-	}
-
-	f := a.New32(5)
-	f.Data[0] = 1
-	a.Reset()
-	g := a.New32(5)
-	if &g.Data[0] != &f.Data[0] {
-		t.Fatal("Reset did not recycle the float32 slab")
-	}
-	if g.Data[0] != 0 {
-		t.Fatal("recycled float32 tensor not zeroed")
 	}
 
 	var nilArena *Arena

@@ -4,11 +4,11 @@
 
 // The register-panel forward conv kernels. Every output lane runs the
 // exact chain of the generic Go code, s = s + w[j]·rows[j][i] for
-// j = 0, 1, …, k3-1: one VMULPD/VMULPS rounds the product, one
-// VADDPD/VADDPS rounds the sum. No FMA, no reassociation. The Go wrappers
+// j = 0, 1, …, k3-1: one VMULPD rounds the product, one VADDPD rounds
+// the sum. No FMA, no reassociation. The Go wrappers
 // in kernel_amd64.go check every slice bound and guarantee k3 ≥ 1, n ≥ 1.
 //
-// Register use, all four kernels:
+// Register use, both kernels:
 //	DI, SI  output panels a, b     R8, R9  weight rows wa, wb
 //	R10     &rows[0] (24-byte slice headers; data pointer at +0)
 //	R11     k3                     R12     n
@@ -178,138 +178,5 @@ p1d_ttap:
 	JMP    p1d_tail
 
 p1d_done:
-	VZEROUPPER
-	RET
-
-// func panel2F32(a, b, wa, wb []float32, rows [][]float32, k3, n int)
-TEXT ·panel2F32(SB), NOSPLIT, $0-136
-	MOVQ a_base+0(FP), DI
-	MOVQ b_base+24(FP), SI
-	MOVQ wa_base+48(FP), R8
-	MOVQ wb_base+72(FP), R9
-	MOVQ rows_base+96(FP), R10
-	MOVQ k3+120(FP), R11
-	MOVQ n+128(FP), R12
-	XORQ AX, AX
-
-p2s_block:
-	LEAQ 16(AX), BX
-	CMPQ BX, R12
-	JGT  p2s_tail
-	VMOVUPS (DI)(AX*4), Y0
-	VMOVUPS 32(DI)(AX*4), Y1
-	VMOVUPS (SI)(AX*4), Y2
-	VMOVUPS 32(SI)(AX*4), Y3
-	XORQ    CX, CX
-	MOVQ    R10, DX
-
-p2s_tap:
-	MOVQ         (DX), R13
-	VMOVUPS      (R13)(AX*4), Y4
-	VMOVUPS      32(R13)(AX*4), Y5
-	VBROADCASTSS (R8)(CX*4), Y6
-	VBROADCASTSS (R9)(CX*4), Y7
-	VMULPS       Y4, Y6, Y8
-	VADDPS       Y8, Y0, Y0
-	VMULPS       Y5, Y6, Y9
-	VADDPS       Y9, Y1, Y1
-	VMULPS       Y4, Y7, Y10
-	VADDPS       Y10, Y2, Y2
-	VMULPS       Y5, Y7, Y11
-	VADDPS       Y11, Y3, Y3
-	ADDQ         $24, DX
-	INCQ         CX
-	CMPQ         CX, R11
-	JLT          p2s_tap
-	VMOVUPS      Y0, (DI)(AX*4)
-	VMOVUPS      Y1, 32(DI)(AX*4)
-	VMOVUPS      Y2, (SI)(AX*4)
-	VMOVUPS      Y3, 32(SI)(AX*4)
-	MOVQ         BX, AX
-	JMP          p2s_block
-
-p2s_tail:
-	CMPQ   AX, R12
-	JGE    p2s_done
-	VMOVSS (DI)(AX*4), X0
-	VMOVSS (SI)(AX*4), X2
-	XORQ   CX, CX
-	MOVQ   R10, DX
-
-p2s_ttap:
-	MOVQ   (DX), R13
-	VMOVSS (R13)(AX*4), X4
-	VMULSS (R8)(CX*4), X4, X8
-	VADDSS X8, X0, X0
-	VMULSS (R9)(CX*4), X4, X10
-	VADDSS X10, X2, X2
-	ADDQ   $24, DX
-	INCQ   CX
-	CMPQ   CX, R11
-	JLT    p2s_ttap
-	VMOVSS X0, (DI)(AX*4)
-	VMOVSS X2, (SI)(AX*4)
-	INCQ   AX
-	JMP    p2s_tail
-
-p2s_done:
-	VZEROUPPER
-	RET
-
-// func panel1F32(a, wa []float32, rows [][]float32, k3, n int)
-TEXT ·panel1F32(SB), NOSPLIT, $0-88
-	MOVQ a_base+0(FP), DI
-	MOVQ wa_base+24(FP), R8
-	MOVQ rows_base+48(FP), R10
-	MOVQ k3+72(FP), R11
-	MOVQ n+80(FP), R12
-	XORQ AX, AX
-
-p1s_block:
-	LEAQ 16(AX), BX
-	CMPQ BX, R12
-	JGT  p1s_tail
-	VMOVUPS (DI)(AX*4), Y0
-	VMOVUPS 32(DI)(AX*4), Y1
-	XORQ    CX, CX
-	MOVQ    R10, DX
-
-p1s_tap:
-	MOVQ         (DX), R13
-	VBROADCASTSS (R8)(CX*4), Y6
-	VMULPS       (R13)(AX*4), Y6, Y8
-	VADDPS       Y8, Y0, Y0
-	VMULPS       32(R13)(AX*4), Y6, Y9
-	VADDPS       Y9, Y1, Y1
-	ADDQ         $24, DX
-	INCQ         CX
-	CMPQ         CX, R11
-	JLT          p1s_tap
-	VMOVUPS      Y0, (DI)(AX*4)
-	VMOVUPS      Y1, 32(DI)(AX*4)
-	MOVQ         BX, AX
-	JMP          p1s_block
-
-p1s_tail:
-	CMPQ   AX, R12
-	JGE    p1s_done
-	VMOVSS (DI)(AX*4), X0
-	XORQ   CX, CX
-	MOVQ   R10, DX
-
-p1s_ttap:
-	MOVQ   (DX), R13
-	VMOVSS (R13)(AX*4), X4
-	VMULSS (R8)(CX*4), X4, X8
-	VADDSS X8, X0, X0
-	ADDQ   $24, DX
-	INCQ   CX
-	CMPQ   CX, R11
-	JLT    p1s_ttap
-	VMOVSS X0, (DI)(AX*4)
-	INCQ   AX
-	JMP    p1s_tail
-
-p1s_done:
 	VZEROUPPER
 	RET

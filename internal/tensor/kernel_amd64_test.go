@@ -34,7 +34,7 @@ func withGoKernels(fn func()) {
 
 // refPanel2 is the generic Go path of convFwdTile for one pair of output
 // channels: four-tap fwdAxpy4x2 blocks, then the axpy tail.
-func refPanel2[F num](a, b, wa, wb []F, rows [][]F) {
+func refPanel2(a, b, wa, wb []float64, rows [][]float64) {
 	k3 := len(wa)
 	jj := 0
 	for ; jj+4 <= k3; jj += 4 {
@@ -47,7 +47,7 @@ func refPanel2[F num](a, b, wa, wb []F, rows [][]F) {
 }
 
 // refPanel1 is refPanel2 for an odd last channel: fwdAxpy4, then axpy.
-func refPanel1[F num](a, wa []F, rows [][]F) {
+func refPanel1(a, wa []float64, rows [][]float64) {
 	k3 := len(wa)
 	jj := 0
 	for ; jj+4 <= k3; jj += 4 {
@@ -59,13 +59,11 @@ func refPanel1[F num](a, wa []F, rows [][]F) {
 }
 
 // sameBits reports whether x and y have identical bits, or are both NaN.
-// Widening a non-NaN float32 to float64 is exact, so distinct float32 bit
-// patterns stay distinct.
-func sameBits[F num](x, y F) bool {
+func sameBits(x, y float64) bool {
 	if x != x {
 		return y != y
 	}
-	return math.Float64bits(float64(x)) == math.Float64bits(float64(y))
+	return math.Float64bits(x) == math.Float64bits(y)
 }
 
 // specials are the IEEE edge values the kernels must carry through the
@@ -78,21 +76,21 @@ var specials = []float64{
 
 // panelCase holds the inputs of one panel check, carved at an offset out
 // of larger buffers so the kernels also see unaligned sub-slices.
-type panelCase[F num] struct {
-	a, b, wa, wb []F
-	rows         [][]F
+type panelCase struct {
+	a, b, wa, wb []float64
+	rows         [][]float64
 }
 
-func newPanelCase[F num](next func() float64, n, k3, off int) panelCase[F] {
-	vec := func(l int) []F {
-		buf := make([]F, l+off+3)
+func newPanelCase(next func() float64, n, k3, off int) panelCase {
+	vec := func(l int) []float64 {
+		buf := make([]float64, l+off+3)
 		for i := range buf {
-			buf[i] = F(next())
+			buf[i] = next()
 		}
 		return buf[off : off+l]
 	}
-	c := panelCase[F]{a: vec(n), b: vec(n), wa: vec(k3), wb: vec(k3)}
-	c.rows = make([][]F, k3)
+	c := panelCase{a: vec(n), b: vec(n), wa: vec(k3), wb: vec(k3)}
+	c.rows = make([][]float64, k3)
 	for j := range c.rows {
 		c.rows[j] = vec(n)
 	}
@@ -101,13 +99,13 @@ func newPanelCase[F num](next func() float64, n, k3, off int) panelCase[F] {
 
 // checkPanels runs panel2/panel1 and the generic chain on copies of the
 // same case and compares every output element.
-func checkPanels[F num](t *testing.T, c panelCase[F]) {
+func checkPanels(t *testing.T, c panelCase) {
 	t.Helper()
-	a, b := append([]F(nil), c.a...), append([]F(nil), c.b...)
-	ra, rb := append([]F(nil), c.a...), append([]F(nil), c.b...)
+	a, b := append([]float64(nil), c.a...), append([]float64(nil), c.b...)
+	ra, rb := append([]float64(nil), c.a...), append([]float64(nil), c.b...)
 	panel2(a, b, c.wa, c.wb, c.rows)
 	refPanel2(ra, rb, c.wa, c.wb, c.rows)
-	one, rOne := append([]F(nil), c.a...), append([]F(nil), c.a...)
+	one, rOne := append([]float64(nil), c.a...), append([]float64(nil), c.a...)
 	panel1(one, c.wa, c.rows)
 	refPanel1(rOne, c.wa, c.rows)
 	for i := range a {
@@ -118,8 +116,8 @@ func checkPanels[F num](t *testing.T, c panelCase[F]) {
 	}
 }
 
-// panelNs covers every n mod 16 (so every float64 and float32 block
-// remainder), tile-sized panels and the range up to 300.
+// panelNs covers every n mod 16 (so every block remainder), tile-sized
+// panels and the range up to 300.
 var panelNs = func() []int {
 	var ns []int
 	for n := 0; n <= 40; n++ {
@@ -142,8 +140,7 @@ func TestConvPanelMatchesGoChain(t *testing.T) {
 		for _, n := range panelNs {
 			for _, next := range []func() float64{normal, special} {
 				off := r.Intn(4)
-				checkPanels(t, newPanelCase[float64](next, n, k3, off))
-				checkPanels(t, newPanelCase[float32](next, n, k3, off))
+				checkPanels(t, newPanelCase(next, n, k3, off))
 			}
 		}
 	}
@@ -162,7 +159,7 @@ func TestConvPanelBoundsChecked(t *testing.T) {
 		}()
 		fn()
 	}
-	c := newPanelCase[float64](func() float64 { return 1 }, 16, 27, 0)
+	c := newPanelCase(func() float64 { return 1 }, 16, 27, 0)
 	short := append([][]float64(nil), c.rows...)
 	short[26] = short[26][:15:15]
 	mustPanic("short row", func() { panel2(c.a, c.b, c.wa, c.wb, short) })
@@ -201,8 +198,7 @@ func FuzzConvPanel(f *testing.F) {
 			}
 			return r.NormFloat64()
 		}
-		checkPanels(t, newPanelCase[float64](next, n, k3, off))
-		checkPanels(t, newPanelCase[float32](next, n, k3, off))
+		checkPanels(t, newPanelCase(next, n, k3, off))
 	})
 }
 
@@ -223,16 +219,12 @@ func TestConv3DAssemblyMatchesGo(t *testing.T) {
 		x := randTensor(r, c.inC, c.h, c.v, c.m)
 		w := randTensor(r, c.outC, c.inC, c.k, c.k, c.k)
 		b := randTensor(r, c.outC)
-		got, got32 := Conv3D(x, w, b), Conv3D32(nil, Convert32(x), Convert32(w), Convert32(b))
+		got := Conv3D(x, w, b)
 		var want *Tensor
-		var want32 *T32
-		withGoKernels(func() {
-			want, want32 = Conv3D(x, w, b), Conv3D32(nil, Convert32(x), Convert32(w), Convert32(b))
-		})
+		withGoKernels(func() { want = Conv3D(x, w, b) })
 		for i := range want.Data {
-			if !sameBits(got.Data[i], want.Data[i]) || !sameBits(got32.Data[i], want32.Data[i]) {
-				t.Fatalf("case %+v: out[%d] = %v / f32 %v, Go path %v / %v",
-					c, i, got.Data[i], got32.Data[i], want.Data[i], want32.Data[i])
+			if !sameBits(got.Data[i], want.Data[i]) {
+				t.Fatalf("case %+v: out[%d] = %v, Go path %v", c, i, got.Data[i], want.Data[i])
 			}
 		}
 	}

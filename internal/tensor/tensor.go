@@ -20,14 +20,7 @@ type Tensor struct {
 
 // New allocates a zero tensor with the given shape.
 func New(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension %d in %v", d, shape))
-		}
-		n *= d
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
+	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, checkShape(shape))}
 }
 
 // FromSlice wraps the data with the given shape; the data is not copied.
