@@ -48,7 +48,7 @@ check: vet lint fma-check
 
 # Fused multiply-add guard. The Go spec lets the compiler fuse x*y + z,
 # which would make float results differ between architectures; every
-# accumulating product is written s += F(x*y) to forbid it. This
+# accumulating product is written s += float64(x*y) to forbid it. This
 # cross-compiles every cmd/ binary and the tensor test binary (whose
 # reference kernels the fast ones are checked against) for arm64 and for
 # amd64 v3 (both have FMA instructions) and fails if any oarsmt/ function
@@ -121,7 +121,9 @@ crash-test:
 # apart: samples taken back to back (-count) share one burst of host
 # noise, so their spread understates the run-to-run spread. Recording
 # fails if the run regresses against a record from the same machine; a
-# record from another machine is replaced.
+# record from another machine is replaced. A narrower run
+# (make bench BENCH_PKGS=./internal/tensor) rewrites only its own entries
+# and carries the others over unchanged.
 BENCH_PKGS = ./internal/tensor ./internal/mcts ./internal/route \
 	./internal/store ./internal/serve ./internal/ckpt ./internal/core \
 	./internal/selector ./internal/baseline

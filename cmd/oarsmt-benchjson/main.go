@@ -25,7 +25,11 @@
 //
 // Recording is itself gated: a same-machine record is only rewritten by a
 // run that passes it, so a regression cannot launder itself by
-// re-recording. A record from another machine is replaced.
+// re-recording. A record from another machine is replaced. A same-machine
+// record keeps every entry the run lacks exactly as it was, so
+// `make bench BENCH_PKGS=./internal/tensor` re-records only the tensor
+// benchmarks and cannot narrow the bands of the others; the gate still
+// reports an absent entry as MISSING.
 package main
 
 import (
@@ -122,7 +126,8 @@ func gate(path string, rep Report) error {
 }
 
 // record writes rep to path, unless path holds a record from this machine
-// that rep fails.
+// that rep fails. Entries of a same-machine record that rep lacks are
+// carried over unchanged.
 func record(path string, rep Report) error {
 	old, err := load(path)
 	if err != nil {
@@ -131,8 +136,11 @@ func record(path string, rep Report) error {
 	if old != nil {
 		if err := sameMachine(*old, rep); err != nil {
 			log.Printf("replacing the record from another machine: %v", err)
-		} else if bad := regressions(*old, rep); len(bad) > 0 {
-			return fmt.Errorf("%s\n%d benchmark(s) regressed; not rewriting %s", strings.Join(bad, "\n"), len(bad), path)
+		} else {
+			rep = carryOver(*old, rep)
+			if bad := regressions(*old, rep); len(bad) > 0 {
+				return fmt.Errorf("%s\n%d benchmark(s) regressed; not rewriting %s", strings.Join(bad, "\n"), len(bad), path)
+			}
 		}
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -144,6 +152,27 @@ func record(path string, rep Report) error {
 	}
 	log.Printf("wrote %s (%d benchmarks, GOMAXPROCS=%d)", path, len(rep.Benchmarks), rep.GoMaxProcs)
 	return nil
+}
+
+// carryOver returns rep with every entry of old that rep lacks appended
+// unchanged, in name order.
+func carryOver(old, rep Report) Report {
+	have := map[string]bool{}
+	for _, e := range rep.Benchmarks {
+		have[e.Name] = true
+	}
+	merged := append([]Entry(nil), rep.Benchmarks...)
+	for _, o := range old.Benchmarks {
+		if !have[o.Name] {
+			merged = append(merged, o)
+		}
+	}
+	if n := len(merged) - len(rep.Benchmarks); n > 0 {
+		log.Printf("carrying over %d recorded benchmark(s) absent from this run", n)
+	}
+	sort.Slice(merged, func(i, j int) bool { return merged[i].Name < merged[j].Name })
+	rep.Benchmarks = merged
+	return rep
 }
 
 // load reads a report; a missing file is (nil, nil).

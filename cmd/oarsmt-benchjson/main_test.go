@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -168,5 +169,56 @@ func TestRecordThenGate(t *testing.T) {
 	}
 	if err := gate(path, other); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordCarriesAbsentEntries records a full run, then a run of one
+// benchmark: that entry is re-recorded, the other two stay byte-identical,
+// and the gate still reports a benchmark absent from a run as MISSING.
+func TestRecordCarriesAbsentEntries(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_micro.json")
+	if err := record(path, mustParse(t, benchText(2, 400000, 6, true))); err != nil {
+		t.Fatal(err)
+	}
+	entries := func() map[string]string {
+		t.Helper()
+		rep, err := load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range rep.Benchmarks {
+			data, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name] = string(data)
+		}
+		return out
+	}
+	before := entries()
+
+	var conv strings.Builder
+	conv.WriteString(header)
+	for i := 0; i < 2; i++ {
+		fmt.Fprintf(&conv, "BenchmarkConv3DForward16-2 \t 3000\t %d ns/op\t 66885 B/op\t 6 allocs/op\n", 300000+50000*i)
+	}
+	if err := record(path, mustParse(t, conv.String())); err != nil {
+		t.Fatal(err)
+	}
+	after := entries()
+	if len(after) != 3 {
+		t.Fatalf("record has %d entries after a one-benchmark run, want 3", len(after))
+	}
+	for _, name := range []string{"BenchmarkStoreCompact", "BenchmarkOARMST32x32"} {
+		if after[name] != before[name] {
+			t.Errorf("%s changed:\n%s\nwas\n%s", name, after[name], before[name])
+		}
+	}
+	if c := "BenchmarkConv3DForward16"; after[c] == before[c] {
+		t.Errorf("%s was not re-recorded", c)
+	}
+	if err := gate(path, mustParse(t, conv.String())); err == nil || !strings.Contains(err.Error(), "MISSING BenchmarkStoreCompact") {
+		t.Fatalf("gate on a partial run: %v; want MISSING", err)
 	}
 }
