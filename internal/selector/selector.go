@@ -238,6 +238,9 @@ func ValidMask(g *grid.Graph, pins []grid.VertexID) []bool {
 func TopK(scores []float64, mask []bool, k int) []grid.VertexID {
 	k = max(min(k, len(scores)), 0)
 	top := make([]grid.VertexID, 0, k)
+	if k == 0 {
+		return top
+	}
 	for i, sc := range scores {
 		if !mask[i] {
 			continue
@@ -245,7 +248,7 @@ func TopK(scores []float64, mask []bool, k int) []grid.VertexID {
 		// Candidates arrive in ascending id, so one ranks above a kept
 		// vertex only on a strictly higher score.
 		if len(top) == k {
-			if k == 0 || !(sc > scores[top[k-1]]) {
+			if !(sc > scores[top[k-1]]) {
 				continue
 			}
 		} else {
