@@ -153,6 +153,8 @@ fuzz:
 	go test -fuzz=FuzzAllowAnnotation -fuzztime=30s ./internal/lint/
 	go test -fuzz=FuzzHeapOrder -fuzztime=30s ./internal/route/
 	go test -fuzz=FuzzRetracePruned -fuzztime=30s ./internal/route/
+	go test -fuzz=FuzzConvPanel -fuzztime=30s ./internal/tensor/
+	go test -fuzz=FuzzTopK -fuzztime=30s ./internal/selector/
 
 # Regenerate every paper table and figure at CPU scale.
 experiments:

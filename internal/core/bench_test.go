@@ -7,7 +7,9 @@ import (
 
 	"oarsmt/internal/fault"
 	"oarsmt/internal/layout"
+	"oarsmt/internal/models"
 	"oarsmt/internal/nn"
+	"oarsmt/internal/obs"
 	"oarsmt/internal/selector"
 )
 
@@ -63,4 +65,51 @@ func BenchmarkDegradedRoute(b *testing.B) {
 			b.Fatal("route did not degrade under 100% selector fault")
 		}
 	}
+}
+
+// BenchmarkProductionMiss routes the miss a serving daemon pays for a
+// never-seen layout: the embedded model, and perfbench's miss-cold stream
+// shape (16x16x4, 10 pins, 8–16 obstacles) at fixed seeds 1–16, one
+// layout per op in turn. builds/op, pops/op and kept/op are the
+// route.oarmst_builds, route.heap_pops and core.steiner_kept counts per
+// route, taken over one untimed pass of the stream so they do not depend
+// on b.N.
+func BenchmarkProductionMiss(b *testing.B) {
+	sel, err := models.New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := NewRouter(sel)
+	stream := make([]*layout.Instance, 16)
+	for i := range stream {
+		stream[i], err = layout.Random(rand.New(rand.NewSource(int64(i+1))), layout.RandomSpec{
+			H: 16, V: 16, MinM: 4, MaxM: 4, MinPins: 10, MaxPins: 10,
+			MinObstacles: 8, MaxObstacles: 16,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	builds, pops := obs.Default.Counter("route.oarmst_builds"), obs.Default.Counter("route.heap_pops")
+	b0, p0, k0 := builds.Load(), pops.Load(), mSteinerKept.Load()
+	for _, in := range stream {
+		if _, err := r.Route(ctx, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+	n := float64(len(stream))
+	nBuilds := float64(builds.Load()-b0) / n
+	nPops := float64(pops.Load()-p0) / n
+	nKept := float64(mSteinerKept.Load()-k0) / n
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Route(ctx, stream[i%len(stream)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(nBuilds, "builds/op")
+	b.ReportMetric(nPops, "pops/op")
+	b.ReportMetric(nKept, "kept/op")
 }

@@ -30,6 +30,14 @@ import (
 	"oarsmt/internal/selector"
 )
 
+// What the selector's points buy, process-wide: the points proposed to
+// Construct, and those the retraced Steiner tree keeps as branch points
+// (the guard may still reject that tree; see core.guard_rejections).
+var (
+	mSteinerProposed = obs.Default.Counter("core.steiner_proposed")
+	mSteinerKept     = obs.Default.Counter("core.steiner_kept")
+)
+
 // InferenceMode selects how the selector proposes Steiner points.
 type InferenceMode int
 
@@ -59,10 +67,12 @@ func (m InferenceMode) String() string {
 type Router struct {
 	Selector *selector.Selector
 	Mode     InferenceMode
-	// GuardedAcceptance, when true, also builds the plain OARMST over the
-	// pins alone and returns whichever tree is cheaper. This engineering
-	// guard (ablated in the benchmarks) bounds the router's regret against
-	// its own tree builder at the cost of one extra OARMST construction.
+	// GuardedAcceptance, when true, also compares against the plain
+	// OARMST over the pins alone and returns whichever tree is cheaper.
+	// This engineering guard (ablated in the benchmarks) bounds the
+	// router's regret against its own tree builder. It costs one extra
+	// OARMST construction only when the Steiner tree keeps a learned
+	// point; when it keeps none, that tree already is the plain one.
 	GuardedAcceptance bool
 	// RetracePasses applies path-assessed retracing to the constructed
 	// trees: the paper's OARMST step "follows the same algorithm in [14]"
@@ -133,9 +143,11 @@ type Result struct {
 	// construction.
 	SelectTime time.Duration
 	TotalTime  time.Duration
-	// PlainCost is the cost of the no-Steiner-point OARMST when the guard
-	// computed it (0 otherwise); UsedSteiner tells whether the final tree
-	// is the Steiner-guided one.
+	// PlainCost is the cost of the retraced no-Steiner-point OARMST when
+	// the guard is on (0 otherwise): built for the comparison when the
+	// Steiner tree keeps a point, and that tree's own cost when it keeps
+	// none. UsedSteiner tells whether the final tree is the
+	// Steiner-guided one.
 	PlainCost   float64
 	UsedSteiner bool
 	// Degraded reports that the selector inference failed and the tree is
@@ -293,7 +305,18 @@ func (r *Router) Construct(ctx context.Context, in *layout.Instance, sps []grid.
 	res.SteinerPoints = kept
 	res.UsedSteiner = true
 
-	if r.GuardedAcceptance {
+	mSteinerProposed.Add(int64(len(sps)))
+	mSteinerKept.Add(int64(len(kept)))
+
+	switch {
+	case !r.GuardedAcceptance:
+	case len(st.Kept) == 0:
+		// SteinerTree kept no point, so its last build was
+		// OARMST(dedupSorted(pins)) — exactly the guard's OARMST(in.Pins),
+		// which dedup-sorts its terminals itself — and the tree in hand is
+		// that build under the guard's retrace: the plain tree.
+		res.PlainCost = tree.Cost
+	default:
 		_, endG := obs.Span(ctx, "core.guard")
 		plain, err := r.plainTree(router, in.Pins)
 		endG()

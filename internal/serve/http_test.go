@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -156,13 +157,38 @@ func TestHTTPHealthAndStats(t *testing.T) {
 
 // TestHTTPMetrics checks the Prometheus exposition: after one routed
 // request the service counters and the process-wide routing counters both
-// appear under their oarsmt_-prefixed names.
+// appear under their oarsmt_-prefixed names, and core_steiner_proposed
+// rose by the route's proposal.
 func TestHTTPMetrics(t *testing.T) {
 	_, cl := newTestServer(t, Config{})
 	ctx := context.Background()
 
-	if _, err := cl.RouteJSON(ctx, []byte(smallLayoutJSON), nil); err != nil {
+	proposed := func() int64 {
+		t.Helper()
+		text, err := cl.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, "oarsmt_core_steiner_proposed "); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("/metrics has no oarsmt_core_steiner_proposed sample\nexposition:\n%s", text)
+		return 0
+	}
+	before := proposed()
+	fourPins := strings.Replace(smallLayoutJSON, `"pins":[0,8]`, `"pins":[0,8,2,6]`, 1)
+	resp, err := cl.RouteJSON(ctx, []byte(fourPins), nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got := proposed() - before; resp.Proposed == 0 || got != int64(resp.Proposed) {
+		t.Errorf("core_steiner_proposed rose by %d, route proposed %d", got, resp.Proposed)
 	}
 
 	text, err := cl.Metrics(ctx)
@@ -178,6 +204,8 @@ func TestHTTPMetrics(t *testing.T) {
 		// Process-wide registry: the routed request ran Dijkstra searches.
 		"# TYPE oarsmt_route_searches counter",
 		"# TYPE oarsmt_route_retrace_skips counter",
+		"# TYPE oarsmt_core_steiner_proposed counter",
+		"# TYPE oarsmt_core_steiner_kept counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q\nexposition:\n%s", want, text)

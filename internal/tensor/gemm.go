@@ -1,13 +1,14 @@
 package tensor
 
 import (
+	"math"
 	"sync"
 
 	"oarsmt/internal/parallel"
 )
 
-// This file is the im2col + blocked-GEMM convolution engine shared by the
-// training and inference passes.
+// This file is the blocked-GEMM convolution engine shared by the training
+// and inference passes.
 //
 // A "same" 3-D convolution over x[InC][H][V][M] with kernel w[OutC][InC][K³]
 // is lowered to a matrix multiply
@@ -18,9 +19,30 @@ import (
 // layout w.Data already has — and Col[j][p] is the input value under tap j
 // at output position p (zero where the tap leaves the volume). Col is
 // never materialised whole: positions are processed in fixed-width tiles
-// (convTile), and within a tile only one input channel's K³ patch rows
-// exist at a time, built by one flat shifted copy plus strided zeroing of
-// the padding-contaminated border positions.
+// (convTile), and within a tile only one input channel's taps exist at a
+// time.
+//
+// # The forward tile: K² plane rows under K lane masks
+//
+// The forward pass builds, per input channel and tile [t0, t1), only the
+// K² (dh, dv) plane rows, each over the widened positions [t0−p, t1+p)
+// (p = K/2): one flat copy at offset (dh·V+dv)·M plus zeroing of the
+// dh/dv border positions. Tap (dh, dv, dm) is then the view of its plane
+// row at offset p+dm: at output position t it reads the plane value at
+// t+dm. Where m+dm stays in [0, M) that is the tap's true input. Where it
+// does not, the flat shift has wrapped into a neighbouring M-row (or off
+// either end of the volume), so per tile K lane-mask rows, shared by all
+// input channels, hold all ones where m+dm ∈ [0, M) and zero elsewhere,
+// and every kernel ANDs each loaded lane with its tap's mask before the
+// multiply. K == 1 needs no plane row: its single tap is a direct view of
+// the channel.
+//
+// A masked lane is exactly +0.0, the value the K³-row im2col it replaces
+// wrote there with clear, and a valid lane is the same input value; so
+// every term and its ascending-j place are unchanged, whatever the wrapped
+// neighbour holds — NaN and ±Inf included, since the AND discards its bits
+// before any arithmetic sees them. The backward pass (training only) keeps
+// the K³ im2col rows of buildColsIC and the col2im scatter.
 //
 // # Bit-determinism
 //
@@ -38,7 +60,8 @@ import (
 //
 // On amd64 with AVX2 the forward tile runs on the assembly panels of
 // kernel_amd64.s (convFwdTileAVX2), which keep the same chain in every
-// vector lane: a separate VMULPD and VADDPD per tap, no FMA.
+// vector lane: a VANDPD by the lane mask, then a separate VMULPD and VADDPD
+// per tap, no FMA.
 
 // convShape carries the dimensions of one convolution call.
 type convShape struct {
@@ -55,16 +78,21 @@ func (s convShape) j() int { return s.inC * s.k * s.k * s.k }
 // parallel.ForWork.
 func (s convShape) macs() int { return s.outC * s.j() * s.n() }
 
-// convTile is the position-tile width: small enough that one channel's K³
-// patch rows (K³ · convTile elements) and the output panel stay
-// cache-resident, large enough to amortise the per-tile row builds.
+// convTile is the position-tile width: small enough that one channel's
+// tile rows and the output panel stay cache-resident, large enough to
+// amortise the per-tile row builds.
 const convTile = 256
 
-// convScratch is one worker's reusable tile buffer: nRows patch rows of
-// convTile elements carved out of a single backing slice.
+// convScratch is one worker's reusable tile buffers. rows are carved out
+// of buf: the backward pass's 2·K³ patch rows, or the forward pass's K²
+// plane rows. The forward pass also keeps its K lane-mask rows in mask
+// and the K³ tap views over rows and mask in taps and tapMasks.
 type convScratch struct {
-	buf  []float64
-	rows [][]float64
+	buf      []float64
+	rows     [][]float64
+	mask     []uint64
+	taps     [][]float64
+	tapMasks [][]uint64
 }
 
 func (s *convScratch) ensure(nRows, width int) [][]float64 {
@@ -82,6 +110,43 @@ func (s *convScratch) ensure(nRows, width int) [][]float64 {
 	return s.rows
 }
 
+// fwdTaps fills the K lane-mask rows of tile [t0, t1) and returns the K³
+// tap views and masks over planes (the K² plane rows of width
+// convTile+2p). Tap j = (kh, kv, km) reads plane row kh·K+kv from offset
+// km under mask row km, which is all ones at the positions whose m+dm
+// (dm = km−p) stays in [0, M) and zero elsewhere.
+func (s *convScratch) fwdTaps(planes [][]float64, sh convShape, t0, t1 int) ([][]float64, [][]uint64) {
+	k, p, T := sh.k, sh.k/2, t1-t0
+	k3 := k * k * k
+	if cap(s.mask) < k*convTile {
+		s.mask = make([]uint64, k*convTile)
+	}
+	if cap(s.taps) < k3 {
+		s.taps = make([][]float64, k3)
+		s.tapMasks = make([][]uint64, k3)
+	}
+	for km := 0; km < k; km++ {
+		row := s.mask[km*convTile : km*convTile+T]
+		dm, mm := km-p, t0%sh.m
+		for i := range row {
+			row[i] = 0
+			if q := mm + dm; q >= 0 && q < sh.m {
+				row[i] = math.MaxUint64
+			}
+			if mm++; mm == sh.m {
+				mm = 0
+			}
+		}
+	}
+	taps, masks := s.taps[:k3], s.tapMasks[:k3]
+	for j := range taps {
+		km := j % k
+		taps[j] = planes[j/k][km : km+T]
+		masks[j] = s.mask[km*convTile : km*convTile+T]
+	}
+	return taps, masks
+}
+
 // scratchPool keeps per-worker tile buffers alive across calls, so a
 // steady-state convolution performs no heap allocation beyond its output.
 var scratchPool = sync.Pool{New: func() any { return new(convScratch) }}
@@ -91,7 +156,10 @@ var scratchPool = sync.Pool{New: func() any { return new(convScratch) }}
 // position shifted by the tap, or 0 where the tap leaves the volume. The
 // bulk is one flat copy at offset (dh·V+dv)·M+dm; the flat shift wrongly
 // wraps values across M-row and V-plane ends, so those border positions
-// are zeroed afterwards (their true source is padding).
+// are zeroed afterwards (their true source is padding). The range may
+// reach past either end of the volume (buildPlanes widens it by K/2);
+// what lands at positions outside it is only ever read under a zero lane
+// mask.
 func im2colRow(dst, xc []float64, h, v, m, dh, dv, dm, t0, t1 int) {
 	off := (dh*v+dv)*m + dm
 	plane := h * v * m
@@ -187,8 +255,9 @@ func zeroSpan(dst []float64, lo, hi, t0, t1 int) {
 	clear(dst[lo-t0 : hi-t0])
 }
 
-// buildColsIC fills rows[0 : K³] with the patch rows of input channel
-// plane xc for tile [t0, t1), in ascending (kh, kv, km) order. For K == 1
+// buildColsIC fills rows[0 : K³] with the backward pass's patch rows of
+// input channel plane xc for tile [t0, t1), in ascending (kh, kv, km)
+// order. For K == 1
 // the single row is a direct view of the channel plane — no copy.
 func buildColsIC(rows [][]float64, xc []float64, sh convShape, t0, t1 int) {
 	if sh.k == 1 {
@@ -207,20 +276,42 @@ func buildColsIC(rows [][]float64, xc []float64, sh convShape, t0, t1 int) {
 	}
 }
 
+// buildPlanes fills the K² plane rows of input channel plane xc for tile
+// [t0, t1), in ascending (kh, kv) order: row kh·K+kv is patch row
+// (dh, dv, 0) over the widened positions [t0−p, t1+p). A margin position
+// outside the volume, like every wrapped one, is read only under a zero
+// lane mask.
+func buildPlanes(planes [][]float64, xc []float64, sh convShape, t0, t1 int) {
+	p := sh.k / 2
+	j := 0
+	for kh := 0; kh < sh.k; kh++ {
+		for kv := 0; kv < sh.k; kv++ {
+			im2colRow(planes[j], xc, sh.h, sh.v, sh.m, kh-p, kv-p, 0, t0-p, t1+p)
+			j++
+		}
+	}
+}
+
+// lane returns x under its lane mask: x itself under all ones, +0 under
+// zero — whatever x holds, NaN and ±Inf included.
+func lane(x float64, mask uint64) float64 {
+	return math.Float64frombits(math.Float64bits(x) & mask)
+}
+
 // fwdAxpy4x2 is the forward register micro-kernel: two output rows gain
-// four consecutive reduction terms each, with the column loads shared.
-// The four adds per element are separate statements on one accumulator,
+// four consecutive reduction terms each, the masked tap loads shared. The
+// four adds per element are separate statements on one accumulator,
 // preserving the ascending-j chain.
-func fwdAxpy4x2(a, b, wa, wb, c0, c1, c2, c3 []float64) {
+func fwdAxpy4x2(a, b, wa, wb []float64, taps [][]float64, masks [][]uint64) {
 	wa0, wa1, wa2, wa3 := wa[0], wa[1], wa[2], wa[3]
 	wb0, wb1, wb2, wb3 := wb[0], wb[1], wb[2], wb[3]
-	b = b[:len(a)]
-	c0 = c0[:len(a)]
-	c1 = c1[:len(a)]
-	c2 = c2[:len(a)]
-	c3 = c3[:len(a)]
+	n := len(a)
+	b = b[:n]
+	c0, c1, c2, c3 := taps[0][:n], taps[1][:n], taps[2][:n], taps[3][:n]
+	m0, m1, m2, m3 := masks[0][:n], masks[1][:n], masks[2][:n], masks[3][:n]
 	for i := range a {
-		x0, x1, x2, x3 := c0[i], c1[i], c2[i], c3[i]
+		x0, x1 := lane(c0[i], m0[i]), lane(c1[i], m1[i])
+		x2, x3 := lane(c2[i], m2[i]), lane(c3[i], m3[i])
 		s := a[i]
 		s += float64(wa0 * x0)
 		s += float64(wa1 * x1)
@@ -238,19 +329,26 @@ func fwdAxpy4x2(a, b, wa, wb, c0, c1, c2, c3 []float64) {
 
 // fwdAxpy4 is the single-row tail of fwdAxpy4x2 for odd output-channel
 // counts.
-func fwdAxpy4(a, wa, c0, c1, c2, c3 []float64) {
+func fwdAxpy4(a, wa []float64, taps [][]float64, masks [][]uint64) {
 	wa0, wa1, wa2, wa3 := wa[0], wa[1], wa[2], wa[3]
-	c0 = c0[:len(a)]
-	c1 = c1[:len(a)]
-	c2 = c2[:len(a)]
-	c3 = c3[:len(a)]
+	n := len(a)
+	c0, c1, c2, c3 := taps[0][:n], taps[1][:n], taps[2][:n], taps[3][:n]
+	m0, m1, m2, m3 := masks[0][:n], masks[1][:n], masks[2][:n], masks[3][:n]
 	for i := range a {
 		s := a[i]
-		s += float64(wa0 * c0[i])
-		s += float64(wa1 * c1[i])
-		s += float64(wa2 * c2[i])
-		s += float64(wa3 * c3[i])
+		s += float64(wa0 * lane(c0[i], m0[i]))
+		s += float64(wa1 * lane(c1[i], m1[i]))
+		s += float64(wa2 * lane(c2[i], m2[i]))
+		s += float64(wa3 * lane(c3[i], m3[i]))
 		a[i] = s
+	}
+}
+
+// axpyMasked accumulates dst += w·(src under mask) elementwise.
+func axpyMasked(dst []float64, w float64, src []float64, mask []uint64) {
+	src, mask = src[:len(dst)], mask[:len(dst)]
+	for i := range dst {
+		dst[i] += float64(w * lane(src[i], mask[i]))
 	}
 }
 
@@ -262,64 +360,74 @@ func axpy(dst []float64, w float64, src []float64) {
 	}
 }
 
-// convFwdTile accumulates the K³ patch rows of one input channel into the
-// output panel of tile [t0, t1): ascending-j blocks of four, paired output
-// channels. rows were built by buildColsIC for the same tile; jBase is the
-// flat reduction index of (ic, 0, 0, 0).
-func convFwdTile(out, w []float64, rows [][]float64, sh convShape, jBase, t0, t1 int) {
+// convFwdTile accumulates the K³ masked taps of one input channel into
+// the output panel of tile [t0, t1): ascending-j blocks of four, paired
+// output channels. taps and masks come from fwdTaps for the same tile;
+// jBase is the flat reduction index of (ic, 0, 0, 0).
+func convFwdTile(out, w []float64, taps [][]float64, masks [][]uint64, sh convShape, jBase, t0, t1 int) {
 	if hasAVX2 {
-		convFwdTileAVX2(out, w, rows, sh, jBase, t0, t1)
+		convFwdTileAVX2(out, w, taps, masks, sh, jBase, t0, t1)
 		return
 	}
 	N, J, outC := sh.n(), sh.j(), sh.outC
-	k3 := sh.k * sh.k * sh.k
+	k3 := len(taps)
 	jj := 0
 	for ; jj+4 <= k3; jj += 4 {
-		c0, c1, c2, c3 := rows[jj], rows[jj+1], rows[jj+2], rows[jj+3]
+		c, mk := taps[jj:jj+4], masks[jj:jj+4]
 		oc := 0
 		for ; oc+2 <= outC; oc += 2 {
 			fwdAxpy4x2(out[oc*N+t0:oc*N+t1], out[(oc+1)*N+t0:(oc+1)*N+t1],
-				w[oc*J+jBase+jj:], w[(oc+1)*J+jBase+jj:], c0, c1, c2, c3)
+				w[oc*J+jBase+jj:], w[(oc+1)*J+jBase+jj:], c, mk)
 		}
 		if oc < outC {
-			fwdAxpy4(out[oc*N+t0:oc*N+t1], w[oc*J+jBase+jj:], c0, c1, c2, c3)
+			fwdAxpy4(out[oc*N+t0:oc*N+t1], w[oc*J+jBase+jj:], c, mk)
 		}
 	}
 	for ; jj < k3; jj++ {
 		for oc := 0; oc < outC; oc++ {
-			axpy(out[oc*N+t0:oc*N+t1], w[oc*J+jBase+jj], rows[jj])
+			axpyMasked(out[oc*N+t0:oc*N+t1], w[oc*J+jBase+jj], taps[jj], masks[jj])
 		}
 	}
 }
 
+// forwardTile computes the output panel of tile [t0, t1): bias-initialised,
+// then accumulated one input channel at a time (global j order stays
+// ascending: ic-major, tap-minor). Any tile with 0 ≤ t0 < t1 ≤ N and
+// t1−t0 ≤ convTile works; convForward uses the convTile grid.
+func forwardTile(out, x, w, bias []float64, sh convShape, sc *convScratch, t0, t1 int) {
+	N, k := sh.n(), sh.k
+	for oc := 0; oc < sh.outC; oc++ {
+		seg := out[oc*N+t0 : oc*N+t1]
+		var b float64
+		if bias != nil {
+			b = bias[oc]
+		}
+		for i := range seg {
+			seg[i] = b
+		}
+	}
+	planes := sc.ensure(k*k, convTile+2*(k/2))
+	taps, masks := sc.fwdTaps(planes, sh, t0, t1)
+	for ic := 0; ic < sh.inC; ic++ {
+		xc := x[ic*N : (ic+1)*N]
+		if k == 1 {
+			taps[0] = xc[t0:t1]
+		} else {
+			buildPlanes(planes, xc, sh, t0, t1)
+		}
+		convFwdTile(out, w, taps, masks, sh, ic*k*k*k, t0, t1)
+	}
+}
+
 // convForward runs the full forward pass: position tiles sharded over the
-// worker pool by multiply-add work, each tile bias-initialised and then
-// accumulated one input channel at a time (global j order stays
-// ascending: ic-major, tap-minor).
+// worker pool by multiply-add work.
 func convForward(out, x, w, bias []float64, sh convShape) {
 	N := sh.n()
-	k3 := sh.k * sh.k * sh.k
 	nTiles := (N + convTile - 1) / convTile
 	parallel.ForWork(sh.macs(), nTiles, func(_, tlo, thi int) {
 		sc := scratchPool.Get().(*convScratch)
-		rows := sc.ensure(k3, convTile)
 		for t := tlo; t < thi; t++ {
-			t0 := t * convTile
-			t1 := min(t0+convTile, N)
-			for oc := 0; oc < sh.outC; oc++ {
-				seg := out[oc*N+t0 : oc*N+t1]
-				var b float64
-				if bias != nil {
-					b = bias[oc]
-				}
-				for i := range seg {
-					seg[i] = b
-				}
-			}
-			for ic := 0; ic < sh.inC; ic++ {
-				buildColsIC(rows, x[ic*N:(ic+1)*N], sh, t0, t1)
-				convFwdTile(out, w, rows, sh, ic*k3, t0, t1)
-			}
+			forwardTile(out, x, w, bias, sh, sc, t*convTile, min((t+1)*convTile, N))
 		}
 		scratchPool.Put(sc)
 	})

@@ -3,17 +3,27 @@
 #include "textflag.h"
 
 // The register-panel forward conv kernels. Every output lane runs the
-// exact chain of the generic Go code, s = s + w[j]·rows[j][i] for
-// j = 0, 1, …, k3-1: one VMULPD rounds the product, one VADDPD rounds
-// the sum. No FMA, no reassociation. The Go wrappers
-// in kernel_amd64.go check every slice bound and guarantee k3 ≥ 1, n ≥ 1.
+// exact chain of the generic Go code, s = s + w[j]·x for j = 0, 1, …,
+// k3-1, where x is taps[j][i] ANDed with the lane mask masks[j][i] (all
+// ones, or zero where the tap's flat shift wrapped): one VANDPD selects
+// the lane, one VMULPD rounds the product, one VADDPD rounds the sum. No
+// FMA, no reassociation. convFwdTileAVX2 in kernel_amd64.go checks every
+// slice bound and guarantees k3 ≥ 1, n ≥ 1.
+//
+// panel2F64 takes blocks of 16 positions (four YMM accumulators per
+// output, so eight independent add chains hide the VADDPD latency and
+// each tap's header, mask-header and weight loads serve 16 positions),
+// then at most one block of 8, then single positions. panel1F64 takes
+// blocks of 8, then single positions.
 //
 // Register use, both kernels:
 //	DI, SI  output panels a, b     R8, R9  weight rows wa, wb
-//	R10     &rows[0] (24-byte slice headers; data pointer at +0)
+//	R10     &taps[0] (24-byte slice headers; data pointer at +0)
+//	R14     &masks[0] − &taps[0], so (DX)(R14*1) is masks[j]'s header
 //	R11     k3                     R12     n
-//	AX      position i             BX      i + block width
-//	CX      tap j                  DX      &rows[j]      R13  rows[j] data
+//	AX      position i             CX      tap j
+//	DX      &taps[j]               R13     taps[j] data
+//	BX      i + block width, then masks[j] data inside the tap loop
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
@@ -48,16 +58,77 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func panel2F64(a, b, wa, wb []float64, rows [][]float64, k3, n int)
-TEXT ·panel2F64(SB), NOSPLIT, $0-136
+// func panel2F64(a, b, wa, wb []float64, taps [][]float64, masks [][]uint64, k3, n int)
+TEXT ·panel2F64(SB), NOSPLIT, $0-160
 	MOVQ a_base+0(FP), DI
 	MOVQ b_base+24(FP), SI
 	MOVQ wa_base+48(FP), R8
 	MOVQ wb_base+72(FP), R9
-	MOVQ rows_base+96(FP), R10
-	MOVQ k3+120(FP), R11
-	MOVQ n+128(FP), R12
+	MOVQ taps_base+96(FP), R10
+	MOVQ masks_base+120(FP), R14
+	SUBQ R10, R14
+	MOVQ k3+144(FP), R11
+	MOVQ n+152(FP), R12
 	XORQ AX, AX
+
+p2d_block16:
+	LEAQ 16(AX), BX
+	CMPQ BX, R12
+	JGT  p2d_block
+	VMOVUPD (DI)(AX*8), Y0
+	VMOVUPD 32(DI)(AX*8), Y1
+	VMOVUPD 64(DI)(AX*8), Y2
+	VMOVUPD 96(DI)(AX*8), Y3
+	VMOVUPD (SI)(AX*8), Y4
+	VMOVUPD 32(SI)(AX*8), Y5
+	VMOVUPD 64(SI)(AX*8), Y6
+	VMOVUPD 96(SI)(AX*8), Y7
+	XORQ    CX, CX
+	MOVQ    R10, DX
+
+p2d_tap16:
+	MOVQ         (DX), R13
+	MOVQ         (DX)(R14*1), BX
+	VMOVUPD      (R13)(AX*8), Y8
+	VMOVUPD      32(R13)(AX*8), Y9
+	VMOVUPD      64(R13)(AX*8), Y10
+	VMOVUPD      96(R13)(AX*8), Y11
+	VANDPD       (BX)(AX*8), Y8, Y8
+	VANDPD       32(BX)(AX*8), Y9, Y9
+	VANDPD       64(BX)(AX*8), Y10, Y10
+	VANDPD       96(BX)(AX*8), Y11, Y11
+	VBROADCASTSD (R8)(CX*8), Y12
+	VBROADCASTSD (R9)(CX*8), Y13
+	VMULPD       Y8, Y12, Y14
+	VADDPD       Y14, Y0, Y0
+	VMULPD       Y9, Y12, Y15
+	VADDPD       Y15, Y1, Y1
+	VMULPD       Y10, Y12, Y14
+	VADDPD       Y14, Y2, Y2
+	VMULPD       Y11, Y12, Y15
+	VADDPD       Y15, Y3, Y3
+	VMULPD       Y8, Y13, Y14
+	VADDPD       Y14, Y4, Y4
+	VMULPD       Y9, Y13, Y15
+	VADDPD       Y15, Y5, Y5
+	VMULPD       Y10, Y13, Y14
+	VADDPD       Y14, Y6, Y6
+	VMULPD       Y11, Y13, Y15
+	VADDPD       Y15, Y7, Y7
+	ADDQ         $24, DX
+	INCQ         CX
+	CMPQ         CX, R11
+	JLT          p2d_tap16
+	VMOVUPD      Y0, (DI)(AX*8)
+	VMOVUPD      Y1, 32(DI)(AX*8)
+	VMOVUPD      Y2, 64(DI)(AX*8)
+	VMOVUPD      Y3, 96(DI)(AX*8)
+	VMOVUPD      Y4, (SI)(AX*8)
+	VMOVUPD      Y5, 32(SI)(AX*8)
+	VMOVUPD      Y6, 64(SI)(AX*8)
+	VMOVUPD      Y7, 96(SI)(AX*8)
+	ADDQ         $16, AX
+	JMP          p2d_block16
 
 p2d_block:
 	LEAQ 8(AX), BX
@@ -72,8 +143,11 @@ p2d_block:
 
 p2d_tap:
 	MOVQ         (DX), R13
+	MOVQ         (DX)(R14*1), BX
 	VMOVUPD      (R13)(AX*8), Y4
 	VMOVUPD      32(R13)(AX*8), Y5
+	VANDPD       (BX)(AX*8), Y4, Y4
+	VANDPD       32(BX)(AX*8), Y5, Y5
 	VBROADCASTSD (R8)(CX*8), Y6
 	VBROADCASTSD (R9)(CX*8), Y7
 	VMULPD       Y4, Y6, Y8
@@ -92,7 +166,7 @@ p2d_tap:
 	VMOVUPD      Y1, 32(DI)(AX*8)
 	VMOVUPD      Y2, (SI)(AX*8)
 	VMOVUPD      Y3, 32(SI)(AX*8)
-	MOVQ         BX, AX
+	ADDQ         $8, AX
 	JMP          p2d_block
 
 p2d_tail:
@@ -105,7 +179,10 @@ p2d_tail:
 
 p2d_ttap:
 	MOVQ   (DX), R13
+	MOVQ   (DX)(R14*1), BX
 	VMOVSD (R13)(AX*8), X4
+	VMOVSD (BX)(AX*8), X5
+	VANDPD X5, X4, X4
 	VMULSD (R8)(CX*8), X4, X8
 	VADDSD X8, X0, X0
 	VMULSD (R9)(CX*8), X4, X10
@@ -123,13 +200,15 @@ p2d_done:
 	VZEROUPPER
 	RET
 
-// func panel1F64(a, wa []float64, rows [][]float64, k3, n int)
-TEXT ·panel1F64(SB), NOSPLIT, $0-88
+// func panel1F64(a, wa []float64, taps [][]float64, masks [][]uint64, k3, n int)
+TEXT ·panel1F64(SB), NOSPLIT, $0-112
 	MOVQ a_base+0(FP), DI
 	MOVQ wa_base+24(FP), R8
-	MOVQ rows_base+48(FP), R10
-	MOVQ k3+72(FP), R11
-	MOVQ n+80(FP), R12
+	MOVQ taps_base+48(FP), R10
+	MOVQ masks_base+72(FP), R14
+	SUBQ R10, R14
+	MOVQ k3+96(FP), R11
+	MOVQ n+104(FP), R12
 	XORQ AX, AX
 
 p1d_block:
@@ -143,10 +222,15 @@ p1d_block:
 
 p1d_tap:
 	MOVQ         (DX), R13
+	MOVQ         (DX)(R14*1), BX
+	VMOVUPD      (R13)(AX*8), Y4
+	VMOVUPD      32(R13)(AX*8), Y5
+	VANDPD       (BX)(AX*8), Y4, Y4
+	VANDPD       32(BX)(AX*8), Y5, Y5
 	VBROADCASTSD (R8)(CX*8), Y6
-	VMULPD       (R13)(AX*8), Y6, Y8
+	VMULPD       Y4, Y6, Y8
 	VADDPD       Y8, Y0, Y0
-	VMULPD       32(R13)(AX*8), Y6, Y9
+	VMULPD       Y5, Y6, Y9
 	VADDPD       Y9, Y1, Y1
 	ADDQ         $24, DX
 	INCQ         CX
@@ -154,7 +238,7 @@ p1d_tap:
 	JLT          p1d_tap
 	VMOVUPD      Y0, (DI)(AX*8)
 	VMOVUPD      Y1, 32(DI)(AX*8)
-	MOVQ         BX, AX
+	ADDQ         $8, AX
 	JMP          p1d_block
 
 p1d_tail:
@@ -166,7 +250,10 @@ p1d_tail:
 
 p1d_ttap:
 	MOVQ   (DX), R13
+	MOVQ   (DX)(R14*1), BX
 	VMOVSD (R13)(AX*8), X4
+	VMOVSD (BX)(AX*8), X5
+	VANDPD X5, X4, X4
 	VMULSD (R8)(CX*8), X4, X8
 	VADDSD X8, X0, X0
 	ADDQ   $24, DX

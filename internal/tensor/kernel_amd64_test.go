@@ -10,11 +10,8 @@ import (
 )
 
 // The assembly panels must equal the generic Go chain bit for bit: the
-// same ascending-tap sequence of rounded products and rounded sums in every
-// lane. The one exception is NaN versus NaN. When both operands of an x86
-// add or multiply are NaN, the result carries the payload of the first
-// source operand, and the Go compiler and the assembly may order the
-// operands differently, so only NaN-ness is compared there.
+// same ascending-tap sequence of masked loads, rounded products and
+// rounded sums in every lane (NaN payloads aside; see sameBits).
 
 func requireAVX2(t testing.TB) {
 	t.Helper()
@@ -32,38 +29,45 @@ func withGoKernels(fn func()) {
 	fn()
 }
 
+// panel2 and panel1 run the assembly panels on a case whose lengths the
+// test made consistent: n = len(a), k3 = len(wa).
+func panel2(a, b, wa, wb []float64, taps [][]float64, masks [][]uint64) {
+	if len(a) > 0 {
+		panel2F64(a, b, wa, wb, taps, masks, len(wa), len(a))
+	}
+}
+
+func panel1(a, wa []float64, taps [][]float64, masks [][]uint64) {
+	if len(a) > 0 {
+		panel1F64(a, wa, taps, masks, len(wa), len(a))
+	}
+}
+
 // refPanel2 is the generic Go path of convFwdTile for one pair of output
-// channels: four-tap fwdAxpy4x2 blocks, then the axpy tail.
-func refPanel2(a, b, wa, wb []float64, rows [][]float64) {
+// channels: four-tap fwdAxpy4x2 blocks, then the axpyMasked tail.
+func refPanel2(a, b, wa, wb []float64, taps [][]float64, masks [][]uint64) {
 	k3 := len(wa)
 	jj := 0
 	for ; jj+4 <= k3; jj += 4 {
-		fwdAxpy4x2(a, b, wa[jj:], wb[jj:], rows[jj], rows[jj+1], rows[jj+2], rows[jj+3])
+		fwdAxpy4x2(a, b, wa[jj:], wb[jj:], taps[jj:jj+4], masks[jj:jj+4])
 	}
 	for ; jj < k3; jj++ {
-		axpy(a, wa[jj], rows[jj])
-		axpy(b, wb[jj], rows[jj])
+		axpyMasked(a, wa[jj], taps[jj], masks[jj])
+		axpyMasked(b, wb[jj], taps[jj], masks[jj])
 	}
 }
 
-// refPanel1 is refPanel2 for an odd last channel: fwdAxpy4, then axpy.
-func refPanel1(a, wa []float64, rows [][]float64) {
+// refPanel1 is refPanel2 for an odd last channel: fwdAxpy4, then
+// axpyMasked.
+func refPanel1(a, wa []float64, taps [][]float64, masks [][]uint64) {
 	k3 := len(wa)
 	jj := 0
 	for ; jj+4 <= k3; jj += 4 {
-		fwdAxpy4(a, wa[jj:], rows[jj], rows[jj+1], rows[jj+2], rows[jj+3])
+		fwdAxpy4(a, wa[jj:], taps[jj:jj+4], masks[jj:jj+4])
 	}
 	for ; jj < k3; jj++ {
-		axpy(a, wa[jj], rows[jj])
+		axpyMasked(a, wa[jj], taps[jj], masks[jj])
 	}
-}
-
-// sameBits reports whether x and y have identical bits, or are both NaN.
-func sameBits(x, y float64) bool {
-	if x != x {
-		return y != y
-	}
-	return math.Float64bits(x) == math.Float64bits(y)
 }
 
 // specials are the IEEE edge values the kernels must carry through the
@@ -78,10 +82,14 @@ var specials = []float64{
 // of larger buffers so the kernels also see unaligned sub-slices.
 type panelCase struct {
 	a, b, wa, wb []float64
-	rows         [][]float64
+	taps         [][]float64
+	masks        [][]uint64
 }
 
-func newPanelCase(next func() float64, n, k3, off int) panelCase {
+// newPanelCase draws the values from next and a lane mask per tap
+// element from r: about one lane in four is masked, and half of those
+// hold NaN or ±Inf, which the mask must turn into +0.
+func newPanelCase(r *rand.Rand, next func() float64, n, k3, off int) panelCase {
 	vec := func(l int) []float64 {
 		buf := make([]float64, l+off+3)
 		for i := range buf {
@@ -90,28 +98,64 @@ func newPanelCase(next func() float64, n, k3, off int) panelCase {
 		return buf[off : off+l]
 	}
 	c := panelCase{a: vec(n), b: vec(n), wa: vec(k3), wb: vec(k3)}
-	c.rows = make([][]float64, k3)
-	for j := range c.rows {
-		c.rows[j] = vec(n)
+	c.taps = make([][]float64, k3)
+	c.masks = make([][]uint64, k3)
+	for j := range c.taps {
+		c.taps[j] = vec(n)
+		c.masks[j] = make([]uint64, n+off)[off:]
+		for i := range c.masks[j] {
+			switch r.Intn(8) {
+			case 0:
+				c.taps[j][i] = wrapSpecials[r.Intn(len(wrapSpecials))]
+			case 1:
+			default:
+				c.masks[j][i] = math.MaxUint64
+			}
+		}
 	}
 	return c
 }
 
-// checkPanels runs panel2/panel1 and the generic chain on copies of the
-// same case and compares every output element.
+// zeroed returns the case's taps with every masked lane replaced by +0
+// and all-ones masks: what the K³-row im2col fed the panels.
+func (c panelCase) zeroed() ([][]float64, [][]uint64) {
+	taps := make([][]float64, len(c.taps))
+	masks := make([][]uint64, len(c.taps))
+	for j, row := range c.taps {
+		taps[j] = make([]float64, len(row))
+		masks[j] = make([]uint64, len(row))
+		for i := range row {
+			if c.masks[j][i] != 0 {
+				taps[j][i] = row[i]
+			}
+			masks[j][i] = math.MaxUint64
+		}
+	}
+	return taps, masks
+}
+
+// checkPanels runs panel2/panel1, the generic chain, and the generic
+// chain over the zeroed taps on copies of the same case and compares
+// every output element.
 func checkPanels(t *testing.T, c panelCase) {
 	t.Helper()
-	a, b := append([]float64(nil), c.a...), append([]float64(nil), c.b...)
-	ra, rb := append([]float64(nil), c.a...), append([]float64(nil), c.b...)
-	panel2(a, b, c.wa, c.wb, c.rows)
-	refPanel2(ra, rb, c.wa, c.wb, c.rows)
-	one, rOne := append([]float64(nil), c.a...), append([]float64(nil), c.a...)
-	panel1(one, c.wa, c.rows)
-	refPanel1(rOne, c.wa, c.rows)
+	cp := func(s []float64) []float64 { return append([]float64(nil), s...) }
+	a, b, ra, rb, za, zb := cp(c.a), cp(c.b), cp(c.a), cp(c.b), cp(c.a), cp(c.b)
+	panel2(a, b, c.wa, c.wb, c.taps, c.masks)
+	refPanel2(ra, rb, c.wa, c.wb, c.taps, c.masks)
+	zt, zm := c.zeroed()
+	refPanel2(za, zb, c.wa, c.wb, zt, zm)
+	one, rOne := cp(c.a), cp(c.a)
+	panel1(one, c.wa, c.taps, c.masks)
+	refPanel1(rOne, c.wa, c.taps, c.masks)
 	for i := range a {
 		if !sameBits(a[i], ra[i]) || !sameBits(b[i], rb[i]) || !sameBits(one[i], rOne[i]) {
 			t.Fatalf("n=%d k3=%d: pos %d: panel2 (%v, %v) panel1 %v, Go chain (%v, %v) %v",
 				len(a), len(c.wa), i, a[i], b[i], one[i], ra[i], rb[i], rOne[i])
+		}
+		if !sameBits(ra[i], za[i]) || !sameBits(rb[i], zb[i]) {
+			t.Fatalf("n=%d k3=%d: pos %d: masked chain (%v, %v), zeroed taps (%v, %v)",
+				len(a), len(c.wa), i, ra[i], rb[i], za[i], zb[i])
 		}
 	}
 }
@@ -140,14 +184,27 @@ func TestConvPanelMatchesGoChain(t *testing.T) {
 		for _, n := range panelNs {
 			for _, next := range []func() float64{normal, special} {
 				off := r.Intn(4)
-				checkPanels(t, newPanelCase(next, n, k3, off))
+				checkPanels(t, newPanelCase(r, next, n, k3, off))
 			}
 		}
 	}
 }
 
-// TestConvPanelBoundsChecked pins the wrappers' checks: a slice shorter
-// than the panel panics before the assembly can read past it.
+// TestMaskedTilesGoKernels runs the masked tile table of gemm_test.go on
+// the generic Go kernels (TestMaskedTileMatchesDirect runs it on the
+// assembly).
+func TestMaskedTilesGoKernels(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
+	withGoKernels(func() {
+		for _, c := range maskedTileCases {
+			checkMaskedTile(t, r, c)
+		}
+	})
+}
+
+// TestConvPanelBoundsChecked pins convFwdTileAVX2's checks: a tap or
+// mask shorter than the tile, or too few of either, panics before the
+// assembly can read past it.
 func TestConvPanelBoundsChecked(t *testing.T) {
 	requireAVX2(t)
 	mustPanic := func(name string, fn func()) {
@@ -159,34 +216,44 @@ func TestConvPanelBoundsChecked(t *testing.T) {
 		}()
 		fn()
 	}
-	c := newPanelCase(func() float64 { return 1 }, 16, 27, 0)
-	short := append([][]float64(nil), c.rows...)
+	sh := convShape{inC: 1, outC: 3, h: 2, v: 2, m: 4, k: 3}
+	out, w := make([]float64, sh.outC*sh.n()), make([]float64, sh.outC*sh.j())
+	c := newPanelCase(rand.New(rand.NewSource(1)), func() float64 { return 1 }, 16, 27, 0)
+	short := append([][]float64(nil), c.taps...)
 	short[26] = short[26][:15:15]
-	mustPanic("short row", func() { panel2(c.a, c.b, c.wa, c.wb, short) })
-	mustPanic("short row, panel1", func() { panel1(c.a, c.wa, short) })
-	mustPanic("few rows", func() { panel2(c.a, c.b, c.wa, c.wb, c.rows[:26]) })
-	mustPanic("short b", func() { panel2(c.a, c.b[:15:15], c.wa, c.wb, c.rows) })
-	mustPanic("short wb", func() { panel2(c.a, c.b, c.wa, c.wb[:26:26], c.rows) })
+	shortMask := append([][]uint64(nil), c.masks...)
+	shortMask[26] = shortMask[26][:15:15]
+	tile := func(taps [][]float64, masks [][]uint64) func() {
+		return func() { convFwdTileAVX2(out, w, taps, masks, sh, 0, 0, 16) }
+	}
+	mustPanic("short tap", tile(short, c.masks))
+	mustPanic("short mask", tile(c.taps, shortMask))
+	mustPanic("few masks", tile(c.taps, c.masks[:26]))
+	mustPanic("short output", func() { convFwdTileAVX2(out[:40:40], w, c.taps, c.masks, sh, 0, 0, 16) })
+	mustPanic("short weights", func() { convFwdTileAVX2(out, w[:80:80], c.taps, c.masks, sh, 0, 0, 16) })
+	tile(c.taps, c.masks)()
 }
 
 // FuzzConvPanel runs the assembly panels against the generic chain on
-// fuzzed lengths, offsets and raw IEEE bit patterns, so NaN, ±Inf, −0 and
-// subnormals all occur.
+// fuzzed lengths, offsets, lane masks and raw IEEE bit patterns, so NaN,
+// ±Inf, −0 and subnormals all occur, in read and in masked lanes. It then
+// checks one fuzzed forward tile (M ∈ {1, …, 5}, K ∈ {1, 3, 5}, any t0
+// and width) on both kernels against the textbook direct convolution.
 func FuzzConvPanel(f *testing.F) {
 	seed := make([]byte, 0, 8*len(specials))
 	for _, v := range specials {
 		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
 	}
 	for _, n := range []uint16{0, 1, 7, 8, 9, 15, 16, 17, 256, 300} {
-		f.Add(seed, n, uint8(n%3), uint8(n%4))
+		f.Add(seed, n, uint8(n%3), uint8(n%4), uint8(n))
 	}
-	f.Add([]byte{}, uint16(33), uint8(1), uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, n16 uint16, k3Sel, off8 uint8) {
+	f.Add([]byte{}, uint16(33), uint8(1), uint8(1), uint8(4))
+	f.Fuzz(func(t *testing.T, data []byte, n16 uint16, k3Sel, off8, shape uint8) {
 		requireAVX2(t)
 		n := int(n16 % 301)
-		k3 := []int{1, 27, 125}[k3Sel%3]
+		k := []int{1, 3, 5}[k3Sel%3]
 		off := int(off8 % 4)
-		r := rand.New(rand.NewSource(int64(n16)<<16 | int64(k3Sel)<<8 | int64(off8)))
+		r := rand.New(rand.NewSource(int64(n16)<<24 | int64(k3Sel)<<16 | int64(off8)<<8 | int64(shape)))
 		i := 0
 		next := func() float64 {
 			// Raw bit patterns from the fuzz data, interleaved with
@@ -198,7 +265,15 @@ func FuzzConvPanel(f *testing.F) {
 			}
 			return r.NormFloat64()
 		}
-		checkPanels(t, newPanelCase(next, n, k3, off))
+		checkPanels(t, newPanelCase(r, next, n, k*k*k, off))
+
+		c := convCase{inC: 1 + int(off8%2), outC: 1 + int(off8%3), h: 2 + int(shape/5%4),
+			v: 1 + int(shape/20%4), m: 1 + int(shape%5), k: k}
+		N := c.h * c.v * c.m
+		t0 := int(n16) % N
+		tc := tileCase{c, t0, t0 + 1 + int(n16>>8)%(N-t0)}
+		checkMaskedTile(t, rand.New(rand.NewSource(int64(n16))), tc)
+		withGoKernels(func() { checkMaskedTile(t, rand.New(rand.NewSource(int64(n16))), tc) })
 	})
 }
 

@@ -6,6 +6,6 @@ package tensor
 // always runs the generic Go code.
 const hasAVX2 = false
 
-func convFwdTileAVX2(out, w []float64, rows [][]float64, sh convShape, jBase, t0, t1 int) {
+func convFwdTileAVX2(out, w []float64, taps [][]float64, masks [][]uint64, sh convShape, jBase, t0, t1 int) {
 	panic("tensor: no assembly kernels in this build")
 }
