@@ -155,6 +155,7 @@ fuzz:
 	go test -fuzz=FuzzRetracePruned -fuzztime=30s ./internal/route/
 	go test -fuzz=FuzzConvPanel -fuzztime=30s ./internal/tensor/
 	go test -fuzz=FuzzTopK -fuzztime=30s ./internal/selector/
+	go test -fuzz=FuzzCanonicalKey -fuzztime=30s ./internal/serve/
 
 # Regenerate every paper table and figure at CPU scale.
 experiments:

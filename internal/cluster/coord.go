@@ -670,8 +670,10 @@ func (c *Coordinator) race(ctx context.Context, req *wire.RouteRequest, primary 
 	return nil, firstErr
 }
 
-// CanonicalKeyJSON decodes a layout and returns its canonical shard
-// key; the decode also validates the layout before any forward.
+// canonicalKey decodes a layout and returns its canonical shard key; the
+// decode also validates the layout before any forward. The shard key is
+// serve.CanonicalKey, the same digest the worker's store files the route
+// under, so all 16 orientations of a layout reach the worker that holds it.
 func (c *Coordinator) canonicalKey(layoutJSON []byte) (string, error) {
 	in, err := layout.DecodeWithLimit(bytes.NewReader(layoutJSON), c.cfg.MaxVolume)
 	if err != nil {

@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"oarsmt/internal/grid"
 	"oarsmt/internal/layout"
 	"oarsmt/internal/nn"
 	"oarsmt/internal/selector"
+	"oarsmt/internal/store"
 )
 
 // The Store* benchmarks quantify the warm-restart value proposition for
@@ -110,5 +112,44 @@ func BenchmarkStoreWarmDiskRoute(b *testing.B) {
 		if !resp.StoreHit {
 			b.Fatal("expected a store hit")
 		}
+	}
+}
+
+// keySink keeps the benchmarked canonicalize calls live.
+var keySink store.Key
+
+// BenchmarkCanonicalKey times the cache key on perfbench's two layout
+// shapes: the miss stream's 16x16x4 with 10 pins and the hit pool's
+// 8x8x2 with 5 pins. It reports the orientations hashed (augs/op) and the
+// serialized bytes hashed over all of them (hashed_bytes/op), both exact.
+func BenchmarkCanonicalKey(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		spec layout.RandomSpec
+	}{
+		{"stream16x16x4", layout.RandomSpec{H: 16, V: 16, MinM: 4, MaxM: 4, MinPins: 10, MaxPins: 10,
+			MinObstacles: 8, MaxObstacles: 16}},
+		{"pool8x8x2", layout.RandomSpec{H: 8, V: 8, MinM: 2, MaxM: 2, MinPins: 5, MaxPins: 5,
+			MinObstacles: 4, MaxObstacles: 8}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			in, err := layout.Random(rand.New(rand.NewSource(1)), bc.spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			augs, hashed := 0, 0
+			bases, pins := flagBases(in.Graph), make([]grid.VertexID, len(in.Pins))
+			for _, a := range grid.AllAugmentations() {
+				augs++
+				hashed += len(appendOriented(nil, in.Graph, bases, a, in.Pins, pins))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				keySink, _ = canonicalize(in)
+			}
+			b.ReportMetric(float64(augs), "augs/op")
+			b.ReportMetric(float64(hashed), "hashed_bytes/op")
+		})
 	}
 }

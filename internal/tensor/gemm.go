@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"oarsmt/internal/parallel"
@@ -369,6 +370,7 @@ func convFwdTile(out, w []float64, taps [][]float64, masks [][]uint64, sh convSh
 		convFwdTileAVX2(out, w, taps, masks, sh, jBase, t0, t1)
 		return
 	}
+	out, w = clipTile(out, w, taps, masks, t1-t0)
 	N, J, outC := sh.n(), sh.j(), sh.outC
 	k3 := len(taps)
 	jj := 0
@@ -388,6 +390,19 @@ func convFwdTile(out, w []float64, taps [][]float64, masks [][]uint64, sh convSh
 			axpyMasked(out[oc*N+t0:oc*N+t1], w[oc*J+jBase+jj], taps[jj], masks[jj])
 		}
 	}
+}
+
+// clipTile panics unless every tap and mask holds n lanes, and returns
+// out and w clipped to their lengths. Go checks a slice expression against
+// capacity, not length, so a short slice with spare capacity (an
+// arena-carved tensor, a tap view into a longer plane row) fails the
+// kernels' slicing only once it is clipped.
+func clipTile(out, w []float64, taps [][]float64, masks [][]uint64, n int) ([]float64, []float64) {
+	for j := range taps {
+		_ = slices.Clip(taps[j])[:n]
+		_ = slices.Clip(masks[j])[:n]
+	}
+	return slices.Clip(out), slices.Clip(w)
 }
 
 // forwardTile computes the output panel of tile [t0, t1): bias-initialised,

@@ -26,17 +26,14 @@ func panel1F64(a, wa []float64, taps [][]float64, masks [][]uint64, k3, n int)
 // output channels takes every tap of the input channel in one panel2F64
 // call, loading and storing its two output segments once per block of
 // positions instead of once per four taps; an odd last channel goes to
-// panel1F64. Everything the assembly reads is bounds-checked first: every
-// tap and mask re-sliced to the tile width, once per call, and each output
-// segment and weight row by slicing. A short slice panics here, as it
-// would in the Go kernels.
+// panel1F64. Everything the assembly reads is bounds-checked first,
+// against length: every tap and mask, once per call (clipTile), and each
+// output segment and weight row by slicing the clipped out and w. A short
+// slice panics here, as it does in the Go kernels.
 func convFwdTileAVX2(out, w []float64, taps [][]float64, masks [][]uint64, sh convShape, jBase, t0, t1 int) {
 	N, J, outC := sh.n(), sh.j(), sh.outC
 	n, k3 := t1-t0, len(taps)
-	for j := range k3 {
-		_ = taps[j][:n]
-		_ = masks[j][:n]
-	}
+	out, w = clipTile(out, w, taps, masks, n)
 	if n == 0 || k3 == 0 {
 		return
 	}

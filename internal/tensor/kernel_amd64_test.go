@@ -202,36 +202,47 @@ func TestMaskedTilesGoKernels(t *testing.T) {
 	})
 }
 
-// TestConvPanelBoundsChecked pins convFwdTileAVX2's checks: a tap or
-// mask shorter than the tile, or too few of either, panics before the
-// assembly can read past it.
+// TestConvPanelBoundsChecked pins the forward tile's checks on both
+// kernels: a tap, mask, output or weight slice shorter than the tile
+// reads, or too few masks, panics before a kernel can read or write past
+// its length. The short slices keep spare capacity, which a slice
+// expression alone would accept.
 func TestConvPanelBoundsChecked(t *testing.T) {
 	requireAVX2(t)
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		fn()
-	}
 	sh := convShape{inC: 1, outC: 3, h: 2, v: 2, m: 4, k: 3}
 	out, w := make([]float64, sh.outC*sh.n()), make([]float64, sh.outC*sh.j())
 	c := newPanelCase(rand.New(rand.NewSource(1)), func() float64 { return 1 }, 16, 27, 0)
 	short := append([][]float64(nil), c.taps...)
-	short[26] = short[26][:15:15]
+	short[26] = short[26][:15]
 	shortMask := append([][]uint64(nil), c.masks...)
-	shortMask[26] = shortMask[26][:15:15]
-	tile := func(taps [][]float64, masks [][]uint64) func() {
-		return func() { convFwdTileAVX2(out, w, taps, masks, sh, 0, 0, 16) }
+	shortMask[26] = shortMask[26][:15]
+	for _, kernel := range []struct {
+		name string
+		tile func(out, w []float64, taps [][]float64, masks [][]uint64)
+	}{
+		{"assembly", func(out, w []float64, taps [][]float64, masks [][]uint64) {
+			convFwdTileAVX2(out, w, taps, masks, sh, 0, 0, 16)
+		}},
+		{"go", func(out, w []float64, taps [][]float64, masks [][]uint64) {
+			withGoKernels(func() { convFwdTile(out, w, taps, masks, sh, 0, 0, 16) })
+		}},
+	} {
+		mustPanic := func(name string, fn func()) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s kernel, %s: no panic", kernel.name, name)
+				}
+			}()
+			fn()
+		}
+		mustPanic("short tap", func() { kernel.tile(out, w, short, c.masks) })
+		mustPanic("short mask", func() { kernel.tile(out, w, c.taps, shortMask) })
+		mustPanic("few masks", func() { kernel.tile(out, w, c.taps, c.masks[:26]) })
+		mustPanic("short output", func() { kernel.tile(out[:40], w, c.taps, c.masks) })
+		mustPanic("short weights", func() { kernel.tile(out, w[:80], c.taps, c.masks) })
+		kernel.tile(out, w, c.taps, c.masks)
 	}
-	mustPanic("short tap", tile(short, c.masks))
-	mustPanic("short mask", tile(c.taps, shortMask))
-	mustPanic("few masks", tile(c.taps, c.masks[:26]))
-	mustPanic("short output", func() { convFwdTileAVX2(out[:40:40], w, c.taps, c.masks, sh, 0, 0, 16) })
-	mustPanic("short weights", func() { convFwdTileAVX2(out, w[:80:80], c.taps, c.masks, sh, 0, 0, 16) })
-	tile(c.taps, c.masks)()
 }
 
 // FuzzConvPanel runs the assembly panels against the generic chain on
