@@ -6,20 +6,15 @@
 //	oarsmt-lint [flags] [packages]
 //
 // Packages default to ./... and accept the go tool's directory patterns
-// ("./internal/route", "./internal/...").
+// ("./internal/route", "./internal/..."), relative to the module root.
+// Every run loads and type-checks the packages from source; nothing is
+// cached between runs.
 //
 // # Exit codes
 //
 //	0  clean: no findings
 //	1  findings were reported
 //	2  usage error, or the module failed to load/type-check
-//
-// # Result cache
-//
-// Results are cached under <module root>/.lintcache, keyed by a content
-// hash of each package's transitive source closure, so a warm run over an
-// unchanged tree answers from disk without re-typechecking. -cache=off
-// disables it (used by `make lint-cold`), -cache=DIR relocates it.
 //
 // # JSON schema
 //
@@ -36,14 +31,14 @@
 //	  }
 //	]
 //
-// A clean run emits []. -sarif instead emits SARIF 2.1.0 for code-scanning
-// uploads; both imply the same exit codes as the plain output.
+// A clean run emits []; the exit codes are those of the plain output.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,29 +49,38 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], ".", os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is the whole command: it lints the module containing dir and
+// returns the exit code.
+func run(args []string, dir string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("oarsmt-lint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		jsonOut  = flag.Bool("json", false, "emit findings as a stable JSON array on stdout (see package doc for the schema)")
-		sarifOut = flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
-		enable   = flag.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable  = flag.String("disable", "", "comma-separated analyzers to skip")
-		cacheArg = flag.String("cache", "", "result cache directory; \"off\" disables (default <module root>/.lintcache)")
-		timing   = flag.Bool("timing", false, "report per-analyzer wall time and cache hit rates on stderr")
-		list     = flag.Bool("list", false, "list available analyzers and exit")
+		jsonOut = fs.Bool("json", false, "emit findings as a stable JSON array on stdout (see package doc for the schema)")
+		enable  = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
+		disable = fs.String("disable", "", "comma-separated analyzers to skip")
+		timing  = fs.Bool("timing", false, "report per-analyzer wall time on stderr")
+		list    = fs.Bool("list", false, "list available analyzers and exit")
 	)
-	flag.Usage = func() {
-		o := flag.CommandLine.Output()
-		fmt.Fprintf(o, "usage: oarsmt-lint [flags] [packages]\n\n")
-		flag.PrintDefaults()
-		fmt.Fprintf(o, "\nexit codes:\n")
-		fmt.Fprintf(o, "  0  clean: no findings\n")
-		fmt.Fprintf(o, "  1  findings were reported\n")
-		fmt.Fprintf(o, "  2  usage error, or the module failed to load\n")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: oarsmt-lint [flags] [packages]\n\n")
+		fs.PrintDefaults()
+		fmt.Fprintf(stderr, "\nexit codes:\n")
+		fmt.Fprintf(stderr, "  0  clean: no findings\n")
+		fmt.Fprintf(stderr, "  1  findings were reported\n")
+		fmt.Fprintf(stderr, "  2  usage error, or the module failed to load\n")
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "oarsmt-lint:", err)
+		return 2
+	}
 
 	if *list {
 		for _, a := range lint.Analyzers() {
@@ -84,79 +88,47 @@ func run() int {
 			if a.Interprocedural() {
 				kind = "interprocedural"
 			}
-			fmt.Printf("%-12s %-15s %s\n", a.Name, kind, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %-15s %s\n", a.Name, kind, a.Doc)
 		}
 		return 0
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "oarsmt-lint: -json and -sarif are mutually exclusive")
-		return 2
 	}
 
 	analyzers, err := selectAnalyzers(*enable, *disable)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "oarsmt-lint:", err)
-		return 2
+		return fail(err)
 	}
-
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	wd, err := os.Getwd()
+	loader, err := lint.NewLoader(dir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "oarsmt-lint:", err)
-		return 2
+		return fail(err)
 	}
-	loader, err := lint.NewLoader(wd)
+	pkgs, err := loader.Load(patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "oarsmt-lint:", err)
-		return 2
-	}
-
-	var cache *lint.Cache
-	if *cacheArg != "off" {
-		dir := *cacheArg
-		if dir == "" {
-			dir = filepath.Join(loader.ModuleRoot, ".lintcache")
-		}
-		cache, err = lint.OpenCache(dir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "oarsmt-lint:", err)
-			return 2
-		}
+		return fail(err)
 	}
 
 	var stats *lint.Stats
 	if *timing {
 		stats = lint.NewStats()
 	}
-	diags, cs, err := lint.RunCached(loader, cache, patterns, analyzers, stats)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "oarsmt-lint:", err)
-		return 2
-	}
+	diags := lint.Run(pkgs, analyzers, stats)
 	if *timing {
-		printTiming(stats, cs, cache != nil)
+		printTiming(stderr, stats)
 	}
 
-	switch {
-	case *jsonOut:
-		if err := writeJSON(os.Stdout, loader.ModuleRoot, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "oarsmt-lint:", err)
-			return 2
+	if *jsonOut {
+		if err := writeJSON(stdout, loader.ModuleRoot, diags); err != nil {
+			return fail(err)
 		}
-	case *sarifOut:
-		if err := writeSARIF(os.Stdout, loader.ModuleRoot, analyzers, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "oarsmt-lint:", err)
-			return 2
-		}
-	default:
+	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 		if len(diags) > 0 {
-			fmt.Fprintf(os.Stderr, "oarsmt-lint: %d finding(s)\n", len(diags))
+			fmt.Fprintf(stderr, "oarsmt-lint: %d finding(s)\n", len(diags))
 		}
 	}
 	if len(diags) > 0 {
@@ -165,18 +137,10 @@ func run() int {
 	return 0
 }
 
-// relFile maps a diagnostic's absolute file path to module-root-relative
-// slash form, the stable spelling both machine formats use.
-func relFile(moduleRoot, file string) string {
-	if rel, err := filepath.Rel(moduleRoot, file); err == nil && !strings.HasPrefix(rel, "..") {
-		return filepath.ToSlash(rel)
-	}
-	return filepath.ToSlash(file)
-}
-
 // writeJSON emits the documented stable schema: a sorted array of
-// {file, line, col, analyzer, message}, [] when clean.
-func writeJSON(w *os.File, moduleRoot string, diags []lint.Diagnostic) error {
+// {file, line, col, analyzer, message}, [] when clean, with file paths
+// relative to the module root in slash form.
+func writeJSON(w io.Writer, moduleRoot string, diags []lint.Diagnostic) error {
 	type jsonDiag struct {
 		File     string `json:"file"`
 		Line     int    `json:"line"`
@@ -186,95 +150,19 @@ func writeJSON(w *os.File, moduleRoot string, diags []lint.Diagnostic) error {
 	}
 	out := make([]jsonDiag, 0, len(diags))
 	for _, d := range diags {
-		out = append(out, jsonDiag{relFile(moduleRoot, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message})
+		file := d.Pos.Filename
+		if rel, err := filepath.Rel(moduleRoot, file); err == nil && !strings.HasPrefix(rel, "..") {
+			file = rel
+		}
+		out = append(out, jsonDiag{filepath.ToSlash(file), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
 
-// writeSARIF emits a minimal valid SARIF 2.1.0 log: one run, one rule per
-// analyzer that was enabled, one result per finding, file URIs relative
-// to SRCROOT (the module root).
-func writeSARIF(w *os.File, moduleRoot string, analyzers []*lint.Analyzer, diags []lint.Diagnostic) error {
-	type sarifRule struct {
-		ID   string `json:"id"`
-		Desc struct {
-			Text string `json:"text"`
-		} `json:"shortDescription"`
-	}
-	rules := make([]sarifRule, 0, len(analyzers)+1)
-	addRule := func(id, doc string) {
-		r := sarifRule{ID: id}
-		r.Desc.Text = doc
-		rules = append(rules, r)
-	}
-	for _, a := range analyzers {
-		addRule(a.Name, a.Doc)
-	}
-	addRule("allow", "malformed, unknown or unused //oarsmt:allow suppression annotations")
-	sort.Slice(rules, func(i, j int) bool { return rules[i].ID < rules[j].ID })
-
-	type region struct {
-		StartLine   int `json:"startLine"`
-		StartColumn int `json:"startColumn"`
-	}
-	type location struct {
-		Physical struct {
-			Artifact struct {
-				URI       string `json:"uri"`
-				URIBaseID string `json:"uriBaseId"`
-			} `json:"artifactLocation"`
-			Region region `json:"region"`
-		} `json:"physicalLocation"`
-	}
-	type result struct {
-		RuleID  string `json:"ruleId"`
-		Level   string `json:"level"`
-		Message struct {
-			Text string `json:"text"`
-		} `json:"message"`
-		Locations []location `json:"locations"`
-	}
-	results := make([]result, 0, len(diags))
-	for _, d := range diags {
-		var r result
-		r.RuleID = d.Analyzer
-		r.Level = "error"
-		r.Message.Text = d.Message
-		var loc location
-		loc.Physical.Artifact.URI = relFile(moduleRoot, d.Pos.Filename)
-		loc.Physical.Artifact.URIBaseID = "SRCROOT"
-		loc.Physical.Region = region{StartLine: d.Pos.Line, StartColumn: d.Pos.Column}
-		r.Locations = []location{loc}
-		results = append(results, r)
-	}
-
-	log := map[string]any{
-		"$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-		"version": "2.1.0",
-		"runs": []map[string]any{{
-			"tool": map[string]any{
-				"driver": map[string]any{
-					"name":           "oarsmt-lint",
-					"informationUri": "https://example.invalid/oarsmt",
-					"rules":          rules,
-				},
-			},
-			"originalUriBaseIds": map[string]any{
-				"SRCROOT": map[string]any{"uri": "file://" + filepath.ToSlash(moduleRoot) + "/"},
-			},
-			"results": results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
-}
-
-// printTiming reports per-analyzer wall time (slowest first) and cache
-// effectiveness on stderr.
-func printTiming(stats *lint.Stats, cs lint.CacheStats, cached bool) {
+// printTiming reports per-analyzer wall time, slowest first.
+func printTiming(w io.Writer, stats *lint.Stats) {
 	var names []string
 	for name := range stats.ByAnalyzer {
 		names = append(names, name)
@@ -285,23 +173,9 @@ func printTiming(stats *lint.Stats, cs lint.CacheStats, cached bool) {
 		}
 		return names[i] < names[j]
 	})
-	fmt.Fprintln(os.Stderr, "oarsmt-lint timing:")
+	fmt.Fprintln(w, "oarsmt-lint timing:")
 	for _, name := range names {
-		fmt.Fprintf(os.Stderr, "  %-12s %v\n", name, stats.ByAnalyzer[name].Round(10*time.Microsecond))
-	}
-	if len(names) == 0 {
-		fmt.Fprintln(os.Stderr, "  (all analyzer work served from cache)")
-	}
-	if cached {
-		prog := "off"
-		switch {
-		case cs.ProgramHit:
-			prog = "hit"
-		case cs.ProgramRan:
-			prog = "miss"
-		}
-		fmt.Fprintf(os.Stderr, "  cache: %d/%d package entries hit, program entry %s\n",
-			cs.LocalHits, cs.LocalHits+cs.LocalMisses, prog)
+		fmt.Fprintf(w, "  %-12s %v\n", name, stats.ByAnalyzer[name].Round(10*time.Microsecond))
 	}
 }
 

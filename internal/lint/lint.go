@@ -116,19 +116,6 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// SplitAnalyzers partitions the set into package-local and
-// interprocedural analyzers, preserving order.
-func SplitAnalyzers(analyzers []*Analyzer) (local, program []*Analyzer) {
-	for _, a := range analyzers {
-		if a.Interprocedural() {
-			program = append(program, a)
-		} else {
-			local = append(local, a)
-		}
-	}
-	return local, program
-}
-
 // Stats accumulates per-analyzer wall time across a run; pass nil to skip
 // timing entirely.
 type Stats struct {
@@ -137,13 +124,6 @@ type Stats struct {
 
 // NewStats returns an empty timing collector.
 func NewStats() *Stats { return &Stats{ByAnalyzer: make(map[string]time.Duration)} }
-
-func (s *Stats) add(name string, d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.ByAnalyzer[name] += d
-}
 
 // timed runs f, attributing its wall time to name. Timing is measurement
 // of the linter itself, never an input to any analyzed result.
@@ -154,87 +134,56 @@ func (s *Stats) timed(name string, f func()) {
 	}
 	start := time.Now() //oarsmt:allow nowallclock(analyzer self-timing for make lint -timing; measurement only, never analysis input)
 	f()
-	s.add(name, time.Since(start)) //oarsmt:allow nowallclock(analyzer self-timing for make lint -timing; measurement only, never analysis input)
+	s.ByAnalyzer[name] += time.Since(start) //oarsmt:allow nowallclock(analyzer self-timing for make lint -timing; measurement only, never analysis input)
 }
 
 // Run executes the given analyzers over the packages, applies the
 // //oarsmt:allow suppressions, and returns the surviving diagnostics
-// sorted by position. Unused annotations and annotation grammar errors are
-// appended as findings of the pseudo-analyzer "allow". Interprocedural
-// analyzers run over a Program built from exactly the given packages.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	local, program := SplitAnalyzers(analyzers)
+// sorted by position. Package-local analyzers see one package at a time;
+// interprocedural analyzers run over a Program built from exactly the
+// given packages, and their findings may land in any of them. Unused
+// annotations and annotation grammar errors are reported as findings of
+// the pseudo-analyzer "allow". Per-analyzer wall time goes to stats
+// unless it is nil.
+func Run(pkgs []*Package, analyzers []*Analyzer, stats *Stats) []Diagnostic {
+	var anns []*annotation
 	var diags []Diagnostic
 	for _, p := range pkgs {
-		diags = append(diags, RunLocal(p, local, true, nil)...)
-	}
-	if len(program) > 0 {
-		prog := BuildProgram(pkgs)
-		diags = append(diags, RunProgram(prog, program, false, nil)...)
-	}
-	SortDiagnostics(diags)
-	return diags
-}
-
-// RunLocal executes package-local analyzers over one package and applies
-// suppressions. When withGrammar is set, malformed //oarsmt:allow
-// annotations are reported here (exactly one of the local/program passes
-// should claim them, or they double-report). The result is the package's
-// complete, cache-ready local diagnostic set, sorted.
-func RunLocal(p *Package, analyzers []*Analyzer, withGrammar bool, stats *Stats) []Diagnostic {
-	anns, annErrs := collectAnnotations(p)
-	var raw []Diagnostic
-	for _, a := range analyzers {
-		a := a
-		stats.timed(a.Name, func() {
-			a.Run(p, func(pos token.Pos, format string, args ...any) {
-				raw = append(raw, Diagnostic{
-					Pos:      p.Fset.Position(pos),
-					Analyzer: a.Name,
-					Message:  fmt.Sprintf(format, args...),
-				})
-			})
-		})
-	}
-	diags := applySuppressions(anns, raw)
-	if withGrammar {
-		diags = append(diags, annErrs...)
-	}
-	diags = append(diags, unusedAnnotations(anns, analyzers)...)
-	SortDiagnostics(diags)
-	return diags
-}
-
-// RunProgram executes interprocedural analyzers over the program and
-// applies suppressions from whichever package each finding lands in. The
-// result is the program-wide, cache-ready diagnostic set, sorted.
-func RunProgram(prog *Program, analyzers []*Analyzer, withGrammar bool, stats *Stats) []Diagnostic {
-	var anns []*annotation
-	var annErrs []Diagnostic
-	for _, p := range prog.Pkgs {
-		a, e := collectAnnotations(p)
+		a, bad := collectAnnotations(p)
 		anns = append(anns, a...)
-		annErrs = append(annErrs, e...)
+		diags = append(diags, bad...)
+	}
+	var prog *Program
+	for _, a := range analyzers {
+		if a.Interprocedural() {
+			prog = BuildProgram(pkgs)
+			break
+		}
 	}
 	var raw []Diagnostic
 	for _, a := range analyzers {
-		a := a
-		stats.timed(a.Name, func() {
-			a.RunProgram(prog, func(pos token.Pos, format string, args ...any) {
+		report := func(fset *token.FileSet) func(token.Pos, string, ...any) {
+			return func(pos token.Pos, format string, args ...any) {
 				raw = append(raw, Diagnostic{
-					Pos:      prog.Fset().Position(pos),
+					Pos:      fset.Position(pos),
 					Analyzer: a.Name,
 					Message:  fmt.Sprintf(format, args...),
 				})
-			})
+			}
+		}
+		stats.timed(a.Name, func() {
+			if a.Interprocedural() {
+				a.RunProgram(prog, report(prog.Fset()))
+				return
+			}
+			for _, p := range pkgs {
+				a.Run(p, report(p.Fset))
+			}
 		})
 	}
-	diags := applySuppressions(anns, raw)
-	if withGrammar {
-		diags = append(diags, annErrs...)
-	}
+	diags = append(diags, applySuppressions(anns, raw)...)
 	diags = append(diags, unusedAnnotations(anns, analyzers)...)
-	SortDiagnostics(diags)
+	sortDiagnostics(diags)
 	return diags
 }
 
@@ -282,9 +231,9 @@ func unusedAnnotations(anns []*annotation, enabled []*Analyzer) []Diagnostic {
 	return out
 }
 
-// SortDiagnostics orders findings by file, line, column, analyzer — the
+// sortDiagnostics orders findings by file, line, column, analyzer — the
 // stable order the -json schema documents.
-func SortDiagnostics(diags []Diagnostic) {
+func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {

@@ -114,7 +114,7 @@ func TestGoldenCorpus(t *testing.T) {
 				}
 				analyzers = append(analyzers, a)
 			}
-			diags := Run(pkgs, analyzers)
+			diags := Run(pkgs, analyzers, nil)
 
 			wants := make(map[string]map[int][]*regexp.Regexp)
 			for _, d := range tc.dirs {
@@ -163,7 +163,7 @@ func TestCorpusPositions(t *testing.T) {
 			continue
 		}
 		pkgs := loadCorpus(t, loader, tc.dirs)
-		diags := Run(pkgs, []*Analyzer{ByName(tc.name)})
+		diags := Run(pkgs, []*Analyzer{ByName(tc.name)}, nil)
 		if len(diags) == 0 {
 			t.Errorf("%s: corpus produced no diagnostics", tc.name)
 			continue
@@ -207,7 +207,7 @@ func TestRepoLintClean(t *testing.T) {
 			t.Errorf("%s does not type-check: %v", p.Path, err)
 		}
 	}
-	diags := Run(pkgs, Analyzers())
+	diags := Run(pkgs, Analyzers(), nil)
 	for _, d := range diags {
 		t.Errorf("repo not lint-clean: %s", d)
 	}

@@ -77,12 +77,10 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("lint: no module directive in %s", gomod)
 }
 
-// Expand resolves the patterns ("./...", "dir/...", or plain directories,
+// expand resolves the patterns ("./...", "dir/...", or plain directories,
 // relative to the loader's module root) to the matched package directories
-// in deterministic sorted order, without parsing or type-checking anything.
-// The cache layer uses it to decide what *would* be analyzed before paying
-// for a load.
-func (l *Loader) Expand(patterns ...string) ([]string, error) {
+// in deterministic sorted order.
+func (l *Loader) expand(patterns []string) ([]string, error) {
 	dirs := map[string]bool{}
 	for _, pat := range patterns {
 		rec := false
@@ -135,24 +133,10 @@ func (l *Loader) Expand(patterns ...string) ([]string, error) {
 // Load expands the patterns and returns the matched packages in
 // deterministic path order.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	dirs, err := l.Expand(patterns...)
+	dirs, err := l.expand(patterns)
 	if err != nil {
 		return nil, err
 	}
-	var out []*Package
-	for _, d := range dirs {
-		p, err := l.loadDir(d, l.importPathFor(d))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// LoadDirs loads exactly the given directories (already expanded) as
-// packages, memoised like every other load.
-func (l *Loader) LoadDirs(dirs []string) ([]*Package, error) {
 	var out []*Package
 	for _, d := range dirs {
 		p, err := l.loadDir(d, l.importPathFor(d))

@@ -232,17 +232,14 @@ func NewService(cfg Config) (*Service, error) {
 	// copied struct was.
 	s.m.reg.GaugeFunc("serve.queue_depth", func() float64 { return float64(len(s.queue)) })
 	s.m.reg.GaugeFunc("serve.queue_capacity", func() float64 { return float64(cfg.QueueSize) })
-	// serve.cache.size is the canonical name for the cache's entry count
-	// (serve.cache_entries predates it and is kept for dashboards); both
-	// read the store, whose store.entries is the same number.
-	cacheSize := func() float64 {
+	// serve.cache.size reads the store, whose store.entries is the same
+	// number.
+	s.m.reg.GaugeFunc("serve.cache.size", func() float64 {
 		if s.store == nil {
 			return 0
 		}
 		return float64(s.store.Len())
-	}
-	s.m.reg.GaugeFunc("serve.cache_entries", cacheSize)
-	s.m.reg.GaugeFunc("serve.cache.size", cacheSize)
+	})
 	s.m.reg.GaugeFunc("serve.uptime_seconds", func() float64 { return time.Since(s.start).Seconds() })
 	lanes := runtime.GOMAXPROCS(0)
 	s.m.reg.GaugeFunc("serve.lanes", func() float64 { return float64(lanes) })

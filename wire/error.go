@@ -46,22 +46,26 @@ var codeTable = []codeEntry{
 	{"transient", errs.ErrTransient, http.StatusServiceUnavailable, true},
 }
 
-// Code returns the wire code of the first sentinel the error matches, or
-// "" when it matches none (an unclassified error; servers send it as
-// "internal"-free plain message, clients surface it unwrapped).
-func Code(err error) string {
+// classify returns the table entry of the first sentinel the error
+// matches. A bare context cancellation is the caller's own doing and
+// classifies as a timeout; any other error is unclassified: no code,
+// status 422 (the request was understood but not servable).
+func classify(err error) codeEntry {
 	for _, e := range codeTable {
 		if errors.Is(err, e.sentinel) {
-			return e.code
+			return e
 		}
 	}
-	// A bare context cancellation is the caller's own doing; report it as
-	// a timeout-class condition the way the legacy status mapping did.
 	if errors.Is(err, context.Canceled) {
-		return "timeout"
+		return codeEntry{code: "timeout", status: http.StatusGatewayTimeout}
 	}
-	return ""
+	return codeEntry{status: http.StatusUnprocessableEntity}
 }
+
+// Code returns the wire code of the first sentinel the error matches, or
+// "" when it matches none (an unclassified error, which clients surface
+// unwrapped).
+func Code(err error) string { return classify(err).code }
 
 // Sentinel returns the canonical sentinel for a wire code, or nil for an
 // unknown code.
@@ -75,40 +79,18 @@ func Sentinel(code string) error {
 }
 
 // HTTPStatus maps an error to its response status per the API.md table;
-// errors matching no sentinel are 422 (the request was understood but not
-// servable), matching the legacy behaviour.
-func HTTPStatus(err error) int {
-	for _, e := range codeTable {
-		if errors.Is(err, e.sentinel) {
-			return e.status
-		}
-	}
-	if errors.Is(err, context.Canceled) {
-		return http.StatusGatewayTimeout
-	}
-	return http.StatusUnprocessableEntity
-}
+// an error matching no sentinel is 422.
+func HTTPStatus(err error) int { return classify(err).status }
 
 // WriteError writes the error response for err: the mapped status, the
 // Retry-After header on backpressure classes, the protocol version
 // header, and the JSON Error body with the sentinel code.
 func WriteError(w http.ResponseWriter, err error) {
-	status := http.StatusUnprocessableEntity
-	retryAfter := false
-	code := ""
-	for _, e := range codeTable {
-		if errors.Is(err, e.sentinel) {
-			status, retryAfter, code = e.status, e.retryAfter, e.code
-			break
-		}
-	}
-	if code == "" && errors.Is(err, context.Canceled) {
-		status, code = http.StatusGatewayTimeout, "timeout"
-	}
-	if retryAfter {
+	e := classify(err)
+	if e.retryAfter {
 		w.Header().Set("Retry-After", "1")
 	}
-	WriteErrorStatus(w, status, code, err.Error())
+	WriteErrorStatus(w, e.status, e.code, err.Error())
 }
 
 // WriteErrorStatus writes an explicit status/code/message error body; the
@@ -125,42 +107,15 @@ func WriteErrorStatus(w http.ResponseWriter, status int, code, msg string) {
 
 // AsError reconstructs the client-side error for a non-2xx response: a
 // known code wraps its sentinel (so errors.Is round-trips across the
-// wire), an unknown or absent code falls back to a status-based guess for
-// pre-protocol servers, and anything else surfaces as a plain error.
+// wire), and a body with an unknown or no code surfaces as a plain error
+// that matches no sentinel.
 func AsError(status int, body []byte) error {
 	var e Error
 	if err := json.Unmarshal(body, &e); err != nil || e.Message == "" {
 		e.Message = fmt.Sprintf("HTTP %d: %s", status, string(body))
 	}
-	code := e.Code
-	if code == "" {
-		code = codeForStatus(status)
-	}
-	if s := Sentinel(code); s != nil {
+	if s := Sentinel(e.Code); s != nil {
 		return fmt.Errorf("%w: %s", s, e.Message)
 	}
 	return fmt.Errorf("server error (HTTP %d): %s", status, e.Message)
-}
-
-// codeForStatus guesses the sentinel code for a legacy response carrying
-// no code field. The guess inverts the unambiguous half of the status
-// table; ambiguous statuses (400, 422, 503) map to their most common
-// cause.
-func codeForStatus(status int) string {
-	switch status {
-	case http.StatusTooManyRequests:
-		return "queue_full"
-	case http.StatusGatewayTimeout:
-		return "timeout"
-	case http.StatusRequestEntityTooLarge:
-		return "too_large"
-	case http.StatusBadRequest:
-		return "invalid_layout"
-	case http.StatusInternalServerError:
-		return "internal"
-	case http.StatusServiceUnavailable:
-		return "transient"
-	default:
-		return ""
-	}
 }

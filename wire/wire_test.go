@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -102,24 +103,36 @@ func TestWriteErrorRoundTrip(t *testing.T) {
 			t.Errorf("%s: AsError = %v, lost the sentinel", e.code, back)
 		}
 	}
+	// Outside the table: a bare cancellation is a timeout, anything else
+	// an unclassified 422 with no code.
+	for _, tc := range []struct {
+		err    error
+		status int
+		code   string
+	}{
+		{fmt.Errorf("ctx: %w", context.Canceled), http.StatusGatewayTimeout, "timeout"},
+		{errors.New("plain"), http.StatusUnprocessableEntity, ""},
+	} {
+		rec := httptest.NewRecorder()
+		WriteError(rec, tc.err)
+		if rec.Code != tc.status || HTTPStatus(tc.err) != tc.status || Code(tc.err) != tc.code {
+			t.Errorf("%v: status %d/%d, code %q; want %d, %q", tc.err, rec.Code, HTTPStatus(tc.err), Code(tc.err), tc.status, tc.code)
+		}
+		if rec.Header().Get("Retry-After") != "" {
+			t.Errorf("%v: unexpected Retry-After", tc.err)
+		}
+	}
 }
 
-// TestAsErrorLegacyFallback: a pre-protocol body (no code field) still
-// maps the unambiguous statuses onto sentinels.
-func TestAsErrorLegacyFallback(t *testing.T) {
-	for _, tc := range []struct {
-		status int
-		want   error
-	}{
-		{http.StatusTooManyRequests, errs.ErrQueueFull},
-		{http.StatusGatewayTimeout, errs.ErrTimeout},
-		{http.StatusServiceUnavailable, errs.ErrTransient},
-		{http.StatusInternalServerError, errs.ErrInternal},
-	} {
-		err := AsError(tc.status, []byte(`{"error":"legacy"}`))
-		if !errors.Is(err, tc.want) {
-			t.Errorf("AsError(%d) = %v, want %v", tc.status, err, tc.want)
-		}
+// TestAsErrorWithoutCode: a body with no known code maps onto no
+// sentinel, whatever its status; it is still an error.
+func TestAsErrorWithoutCode(t *testing.T) {
+	err := AsError(http.StatusServiceUnavailable, []byte(`{"error":"overloaded"}`))
+	if err == nil {
+		t.Fatal("codeless 503 must be an error")
+	}
+	if code := Code(err); code != "" {
+		t.Errorf("codeless 503 = %v, classified as %q", err, code)
 	}
 	if err := AsError(http.StatusTeapot, []byte(`nonsense`)); err == nil {
 		t.Error("unmapped status must still be an error")
