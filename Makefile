@@ -34,7 +34,7 @@ check: vet lint fma-check
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 		if [ -n "$$unformatted" ]; then echo "not gofmt-clean:"; echo "$$unformatted"; exit 1; fi
 	GOARCH=arm64 go vet ./internal/tensor
-	go test -race ./internal/parallel ./internal/tensor ./internal/mcts ./internal/serve ./internal/store ./internal/obs ./internal/errs ./internal/ckpt ./internal/fault ./internal/cluster ./client ./wire
+	go test -race ./internal/parallel ./internal/tensor ./internal/mcts ./internal/serve ./internal/store ./internal/obs ./internal/errs ./internal/ckpt ./internal/fault ./internal/cluster ./client ./wire ./cmd/oarsmt-serve
 	go test -race -short ./internal/route ./internal/baseline ./internal/rl ./internal/nn ./internal/selector ./internal/core ./internal/experiments
 	go test -tags purego ./internal/tensor ./internal/nn ./internal/selector ./internal/core
 	$(MAKE) chaos-test-short

@@ -6,7 +6,9 @@
 // errors.Is(err, oarsmt.ErrQueueFull) holds across the network exactly
 // as it does in-process), and owns the reliability mechanics every
 // caller otherwise reimplements: per-call timeouts, deterministic
-// retry backoff on transient failures, and optional hedged routing.
+// retry backoff on transient failures. Hedging is the coordinator's: it
+// races a slow shard against the next ring replica, which a second
+// request to the same coordinator could not reach.
 //
 // Nothing else in the repository issues raw HTTP to serve endpoints;
 // the coordinator, the chaos harness, the serving benchmark and the
@@ -60,15 +62,7 @@ type Config struct {
 	// jitter — so tests and replays see identical timing.
 	Backoff time.Duration
 
-	// HedgeDelay, when positive, arms hedged routing: if a Route call
-	// has not answered within the delay, an identical second request is
-	// issued and the first success wins. Hedging costs duplicated work
-	// on the server, so reserve it for latency-sensitive callers; the
-	// layout cache makes the duplicate nearly free when both land on
-	// the same shard.
-	HedgeDelay time.Duration
-
-	// sleep is the retry/hedge clock, injectable by tests to run the
+	// sleep is the retry clock, injectable by tests to run the
 	// deterministic backoff schedule without real waiting.
 	sleep func(context.Context, time.Duration) error
 }

@@ -204,64 +204,6 @@ func TestClientTimeout(t *testing.T) {
 	}
 }
 
-// TestHedgedRoute: the primary hangs, the hedge delay expires, the
-// second attempt answers and is flagged Hedged.
-func TestHedgedRoute(t *testing.T) {
-	var calls atomic.Int64
-	// The primary hangs until released; the server cannot observe the
-	// client's cancellation here because the handler never drains the
-	// request body, so an explicit release (run before t.Cleanup closes
-	// the test server) is what unblocks it.
-	release := make(chan struct{})
-	defer close(release)
-	cl := newTestClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			select {
-			case <-release:
-			case <-r.Context().Done():
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"cost": 2}`))
-	}), func(c *Config) { c.HedgeDelay = 20 * time.Millisecond })
-	resp, err := cl.RouteJSON(context.Background(), []byte(`{}`), nil)
-	if err != nil {
-		t.Fatalf("hedged route failed: %v", err)
-	}
-	if !resp.Hedged {
-		t.Error("winning response not flagged Hedged")
-	}
-	if resp.Cost != 2 {
-		t.Errorf("resp = %+v", resp)
-	}
-}
-
-// TestHedgePromotedOnFastFailure: when the primary fails immediately,
-// the hedge fires at once instead of waiting out the delay.
-func TestHedgePromotedOnFastFailure(t *testing.T) {
-	var calls atomic.Int64
-	cl := newTestClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			wire.WriteError(w, errs.ErrTransient)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"cost": 3}`))
-	}), func(c *Config) { c.HedgeDelay = time.Hour }) // the timer must never be what fires the hedge
-	start := time.Now()
-	resp, err := cl.RouteJSON(context.Background(), []byte(`{}`), nil)
-	if err != nil {
-		t.Fatalf("route failed: %v", err)
-	}
-	if resp.Cost != 3 || !resp.Hedged {
-		t.Errorf("resp = %+v, want hedged cost-3 answer", resp)
-	}
-	if time.Since(start) > 10*time.Second {
-		t.Error("hedge waited for the timer instead of promoting on failure")
-	}
-}
-
 // TestProtoHeaderSent: every request advertises the client's protocol
 // version.
 func TestProtoHeaderSent(t *testing.T) {

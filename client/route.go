@@ -36,9 +36,8 @@ func (c *Client) Route(ctx context.Context, in *layout.Instance, opts *RouteOpti
 	return c.RouteJSON(ctx, buf.Bytes(), opts)
 }
 
-// RouteJSON routes a layout already encoded in the layout JSON format.
-// It applies the client's retry policy and, when Config.HedgeDelay is
-// set, hedges the request with a second identical attempt.
+// RouteJSON routes a layout already encoded in the layout JSON format,
+// under the client's retry policy.
 func (c *Client) RouteJSON(ctx context.Context, layoutJSON []byte, opts *RouteOptions) (*wire.RouteResponse, error) {
 	if opts == nil {
 		opts = &RouteOptions{}
@@ -58,84 +57,9 @@ func (c *Client) RouteJSON(ctx context.Context, layoutJSON []byte, opts *RouteOp
 		// default"; round it up to the smallest wire-expressible value.
 		req.TimeoutMillis = 1
 	}
-	if c.cfg.HedgeDelay <= 0 {
-		return c.routeOnce(ctx, &req)
-	}
-	return c.routeHedged(ctx, &req)
-}
-
-// routeOnce is the unhedged path: one logical call through the retry
-// policy.
-func (c *Client) routeOnce(ctx context.Context, req *wire.RouteRequest) (*wire.RouteResponse, error) {
 	var resp wire.RouteResponse
-	if err := c.do(ctx, http.MethodPost, wire.PathRoute, req, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, wire.PathRoute, &req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// routeHedged races two identical attempts separated by HedgeDelay: the
-// primary starts immediately; if it has not answered when the delay
-// expires, a secondary fires and the first success wins. The loser is
-// cancelled. Routing is idempotent and cached by canonical layout hash,
-// so the duplicate is safe and usually a cache hit.
-func (c *Client) routeHedged(ctx context.Context, req *wire.RouteRequest) (*wire.RouteResponse, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type result struct {
-		resp   *wire.RouteResponse
-		err    error
-		hedged bool
-	}
-	// Buffered so the losing attempt can deposit its result and exit
-	// even after the winner has returned.
-	results := make(chan result, 2)
-	attempt := func(ctx context.Context, hedged bool) {
-		resp, err := c.routeOnce(ctx, req)
-		if resp != nil && hedged {
-			resp.Hedged = true
-		}
-		results <- result{resp, err, hedged}
-	}
-	go attempt(hctx, false)
-
-	var firstErr error
-	launched, outstanding := 1, 1
-	for outstanding > 0 {
-		if launched == 1 {
-			// Primary still alone: wait for it or for the hedge timer.
-			t := time.NewTimer(c.cfg.HedgeDelay)
-			select {
-			case r := <-results:
-				t.Stop()
-				outstanding--
-				if r.err == nil {
-					return r.resp, nil
-				}
-				firstErr = r.err
-				// The primary failed fast (e.g. connection refused);
-				// promote the hedge into an immediate second attempt
-				// rather than waiting out the timer.
-				go attempt(hctx, true)
-				launched, outstanding = 2, 1
-			case <-t.C:
-				go attempt(hctx, true)
-				launched, outstanding = 2, 2
-			case <-hctx.Done():
-				t.Stop()
-				return nil, errs.Classify(hctx.Err())
-			}
-			continue
-		}
-		r := <-results
-		outstanding--
-		if r.err == nil {
-			return r.resp, nil
-		}
-		if firstErr == nil {
-			firstErr = r.err
-		}
-	}
-	return nil, fmt.Errorf("hedged route: %w", firstErr)
 }

@@ -2,8 +2,8 @@ package client
 
 // Partition behaviour: the client.transport fault point fails attempts
 // before they touch the wire, standing in for a severed network. These
-// tests pin that the retry and hedge machinery treats an injected
-// partition exactly like a real one.
+// tests pin that the retry machinery treats an injected partition
+// exactly like a real one.
 
 import (
 	"context"
@@ -82,38 +82,6 @@ func TestTransportFaultExhaustsRetries(t *testing.T) {
 	}
 	if calls.Load() != 0 {
 		t.Errorf("server saw %d calls through a total partition", calls.Load())
-	}
-}
-
-// TestTransportFaultPromotesHedge: with hedging armed, a primary that
-// dies at the transport promotes the hedge immediately — the winning
-// response is marked Hedged and the hedge timer is never waited out.
-func TestTransportFaultPromotesHedge(t *testing.T) {
-	fault.Reset()
-	t.Cleanup(fault.Reset)
-	var calls atomic.Int64
-	cl := newTestClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"cost": 5}`))
-	}), func(c *Config) {
-		c.HedgeDelay = time.Hour // only a promoted hedge can answer in time
-	})
-
-	fault.Set("client.transport", fault.Options{Mode: fault.Error, Times: 1})
-	start := time.Now()
-	resp, err := cl.RouteJSON(context.Background(), []byte(`{}`), nil)
-	if err != nil {
-		t.Fatalf("hedged route with partitioned primary: %v", err)
-	}
-	if !resp.Hedged || resp.Cost != 5 {
-		t.Errorf("resp = %+v, want a hedged cost-5 answer", resp)
-	}
-	if calls.Load() != 1 {
-		t.Errorf("server saw %d calls, want 1", calls.Load())
-	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Errorf("promoted hedge took %v — the hedge timer was waited out", elapsed)
 	}
 }
 

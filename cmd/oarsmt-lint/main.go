@@ -6,7 +6,8 @@
 //	oarsmt-lint [flags] [packages]
 //
 // Packages default to ./... and accept the go tool's directory patterns
-// ("./internal/route", "./internal/..."), relative to the module root.
+// ("./internal/route", "./internal/..."), relative to the working
+// directory as go vet resolves them.
 // Every run loads and type-checks the packages from source; nothing is
 // cached between runs.
 //
@@ -52,8 +53,9 @@ func main() {
 	os.Exit(run(os.Args[1:], ".", os.Stdout, os.Stderr))
 }
 
-// run is the whole command: it lints the module containing dir and
-// returns the exit code.
+// run is the whole command: it lints packages of the module containing
+// dir, resolving relative patterns against dir, and returns the exit
+// code.
 func run(args []string, dir string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("oarsmt-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -72,6 +72,18 @@ func TestExitCodes(t *testing.T) {
 		t.Errorf("finding = %+v, want nowallclock at a/a.go:5", d)
 	}
 
+	// Relative patterns resolve against the directory the command runs
+	// in, as go vet's do: "." in a/ is package a, not the module root.
+	if code, out, errOut := runLint(t, filepath.Join(dirty, "a"), "-json", "."); code != 1 || !strings.Contains(out, `"a/a.go"`) {
+		t.Errorf("dirty module, . in a/: exit %d, stdout %q, stderr %q; want 1 with the a/a.go finding", code, out, errOut)
+	}
+	if code, out, errOut := runLint(t, filepath.Join(dirty, "b"), "."); code != 0 || out != "" {
+		t.Errorf("dirty module, . in b/: exit %d, stdout %q, stderr %q; want a clean exit 0", code, out, errOut)
+	}
+	if code, _, errOut := runLint(t, filepath.Join(dirty, "b"), "../a"); code != 1 {
+		t.Errorf("dirty module, ../a in b/: exit %d, stderr %q; want 1", code, errOut)
+	}
+
 	if code, _, errOut := runLint(t, clean, "-enable", "nosuch"); code != 2 || !strings.Contains(errOut, `"nosuch"`) {
 		t.Errorf("unknown -enable: exit %d, stderr %q; want 2 naming the analyzer", code, errOut)
 	}

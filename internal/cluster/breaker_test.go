@@ -147,7 +147,7 @@ func TestCoordinatorBreakerTripAndRecover(t *testing.T) {
 		BreakerCooldown:  5 * time.Second,
 		now:              clock.now,
 	})
-	probe := newRing(c.cfg.VirtualNodes)
+	probe := newRing(virtualNodes)
 	probe.add("w1")
 	probe.add("w2")
 	order := probe.pick("k", 2)
@@ -229,7 +229,7 @@ func TestCoordinatorBreakerProbeFailureReopens(t *testing.T) {
 		BreakerCooldown:  5 * time.Second,
 		now:              clock.now,
 	})
-	probe := newRing(c.cfg.VirtualNodes)
+	probe := newRing(virtualNodes)
 	probe.add("w1")
 	probe.add("w2")
 	order := probe.pick("k", 2)

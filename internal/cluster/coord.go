@@ -3,10 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -22,30 +19,23 @@ import (
 	"oarsmt/wire"
 )
 
-// maxBodyBytes bounds a forwarded request body, matching the worker's
-// own limit so the coordinator rejects oversized layouts before
-// spending a forward on them.
-const maxBodyBytes = 8 << 20
+// virtualNodes is the points-per-worker on the hash ring.
+const virtualNodes = 64
 
 // Config configures a Coordinator. The zero value of every field is
 // usable; defaults favour small test clusters.
 type Config struct {
 	// LeaseTTL is how long a worker registration lives without renewal;
-	// default 10s. Workers conventionally renew every TTL/3.
+	// default 10s. Workers conventionally renew every TTL/3. Expired
+	// leases are collected every LeaseTTL/2, and a worker restored from
+	// StateDir starts with a full LeaseTTL.
 	LeaseTTL time.Duration
-	// SweepEvery is how often expired leases are collected; default
-	// LeaseTTL/2. Expired workers stop receiving requests immediately
-	// regardless — the sweep only reclaims their bookkeeping.
-	SweepEvery time.Duration
 	// HedgeDelay is how long the primary shard may stay silent before
 	// an identical request is hedged to the next replica; 0 defaults to
 	// 100ms. Negative disables hedging.
 	HedgeDelay time.Duration
 	// ForwardTimeout bounds each forwarded request; default 60s.
 	ForwardTimeout time.Duration
-	// VirtualNodes is the points-per-worker on the hash ring; default
-	// 64.
-	VirtualNodes int
 	// MaxVolume rejects layouts with more Hanan-graph vertices, the
 	// same guard the workers apply; default 1<<20.
 	MaxVolume int
@@ -55,10 +45,6 @@ type Config struct {
 	// instead of blacking out until every agent re-registers. Empty
 	// keeps membership in memory only.
 	StateDir string
-	// RecoveryGrace is the lease granted to workers restored from
-	// StateDir at startup; default (and floor) LeaseTTL. It gives
-	// agents a full window to renew before the sweep collects them.
-	RecoveryGrace time.Duration
 
 	// MaxInflight bounds concurrently admitted forwards; excess
 	// requests are shed with ErrQueueFull (HTTP 429 + Retry-After).
@@ -91,23 +77,14 @@ func (c *Config) fill() {
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 10 * time.Second
 	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = c.LeaseTTL / 2
-	}
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 100 * time.Millisecond
 	}
 	if c.ForwardTimeout <= 0 {
 		c.ForwardTimeout = 60 * time.Second
 	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
-	}
 	if c.MaxVolume <= 0 {
 		c.MaxVolume = 1 << 20
-	}
-	if c.RecoveryGrace < c.LeaseTTL {
-		c.RecoveryGrace = c.LeaseTTL
 	}
 	if c.MaxInflight == 0 {
 		c.MaxInflight = 256
@@ -252,7 +229,7 @@ func New(cfg Config) (*Coordinator, error) {
 		start:   cfg.now(),
 		m:       newCMetrics(),
 		workers: map[string]*worker{},
-		ring:    newRing(cfg.VirtualNodes),
+		ring:    newRing(virtualNodes),
 		done:    make(chan struct{}),
 	}
 	// Rebuild membership from the persisted state before anything can
@@ -304,7 +281,7 @@ func (c *Coordinator) Close() {
 // counts the loss.
 func (c *Coordinator) sweep() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.SweepEvery)
+	t := time.NewTicker(c.cfg.LeaseTTL / 2)
 	defer t.Stop()
 	for {
 		select {
@@ -697,35 +674,10 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// writeBodyError maps a body-read failure, keeping the 413 for
-// oversized bodies distinct from a 400 for anything else (client
-// aborts, malformed chunked encoding).
-func writeBodyError(w http.ResponseWriter, err error) {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		wire.WriteError(w, fmt.Errorf("%w: request body too large", errs.ErrTooLarge))
-		return
-	}
-	wire.WriteError(w, fmt.Errorf("%w: request body: %v", errs.ErrInvalidLayout, err))
-}
-
 func (c *Coordinator) handleRouteV1(w http.ResponseWriter, r *http.Request) {
-	if err := wire.CheckProto(r); err != nil {
-		wire.WriteError(w, err)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeBodyError(w, err)
-		return
-	}
 	var req wire.RouteRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		wire.WriteError(w, fmt.Errorf("%w: request envelope: %v", errs.ErrInvalidLayout, err))
-		return
-	}
-	if len(req.Layout) == 0 {
-		wire.WriteError(w, fmt.Errorf("%w: request envelope has no layout", errs.ErrInvalidLayout))
+	if err := wire.ReadEnvelope(w, r, &req, &req.Layout); err != nil {
+		wire.WriteError(w, err)
 		return
 	}
 	key, err := c.canonicalKey(req.Layout)
@@ -738,25 +690,18 @@ func (c *Coordinator) handleRouteV1(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, err)
 		return
 	}
-	writeJSON(w, resp)
+	wire.WriteJSON(w, resp)
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	wire.SetProto(w.Header())
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
-	if closed {
-		wire.WriteError(w, fmt.Errorf("%w: draining", errs.ErrClosed))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte("ok\n"))
+	wire.WriteHealthz(w, closed)
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, c.Stats())
+	wire.WriteJSON(w, c.Stats())
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -767,7 +712,8 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req wire.RegisterRequest
-	if !decodeJSON(w, r, &req) {
+	if err := wire.ReadJSON(w, r, &req, errs.ErrInvalidConfig); err != nil {
+		wire.WriteError(w, err)
 		return
 	}
 	resp, err := c.register(req)
@@ -775,12 +721,13 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, err)
 		return
 	}
-	writeJSON(w, resp)
+	wire.WriteJSON(w, resp)
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req wire.LeaseRequest
-	if !decodeJSON(w, r, &req) {
+	if err := wire.ReadJSON(w, r, &req, errs.ErrInvalidConfig); err != nil {
+		wire.WriteError(w, err)
 		return
 	}
 	resp, err := c.renew(req.ID)
@@ -788,38 +735,18 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, err)
 		return
 	}
-	writeJSON(w, resp)
+	wire.WriteJSON(w, resp)
 }
 
 func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	var req wire.DrainRequest
-	if !decodeJSON(w, r, &req) {
+	if err := wire.ReadJSON(w, r, &req, errs.ErrInvalidConfig); err != nil {
+		wire.WriteError(w, err)
 		return
 	}
 	if err := c.drain(req.ID); err != nil {
 		wire.WriteError(w, err)
 		return
 	}
-	writeJSON(w, struct{}{})
-}
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := wire.CheckProto(r); err != nil {
-		wire.WriteError(w, err)
-		return false
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(v); err != nil {
-		wire.WriteError(w, fmt.Errorf("%w: request body: %v", errs.ErrInvalidConfig, err))
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	wire.SetProto(w.Header())
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	wire.WriteJSON(w, struct{}{})
 }

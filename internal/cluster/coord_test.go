@@ -185,7 +185,7 @@ func TestDrainWithInFlightHedge(t *testing.T) {
 
 	// Work out which id the key hashes to before wiring the handlers:
 	// the gated handler plays the primary, the instant one the fallback.
-	probe := newRing(c.cfg.VirtualNodes)
+	probe := newRing(virtualNodes)
 	probe.add("w1")
 	probe.add("w2")
 	order := probe.pick("k", 2)
@@ -238,7 +238,7 @@ func TestSlowShardTriggersHedge(t *testing.T) {
 	fault.Reset()
 	t.Cleanup(fault.Reset)
 	c := newTestCoord(t, Config{HedgeDelay: 15 * time.Millisecond})
-	probe := newRing(c.cfg.VirtualNodes)
+	probe := newRing(virtualNodes)
 	probe.add("w1")
 	probe.add("w2")
 	order := probe.pick("k", 2)
@@ -269,7 +269,7 @@ func TestFailedShardPromotesRetry(t *testing.T) {
 	fault.Reset()
 	t.Cleanup(fault.Reset)
 	c := newTestCoord(t, Config{HedgeDelay: -1})
-	probe := newRing(c.cfg.VirtualNodes)
+	probe := newRing(virtualNodes)
 	probe.add("w1")
 	probe.add("w2")
 	order := probe.pick("k", 2)
@@ -324,7 +324,7 @@ func TestReRegisterKeepsIdentity(t *testing.T) {
 // left race() waiting forever once the retry also failed.
 func TestHedgeTimerAfterRetryDoesNotHang(t *testing.T) {
 	c := newTestCoord(t, Config{HedgeDelay: 20 * time.Millisecond})
-	probe := newRing(c.cfg.VirtualNodes)
+	probe := newRing(virtualNodes)
 	probe.add("w1")
 	probe.add("w2")
 	order := probe.pick("k", 2)
@@ -415,26 +415,68 @@ type errReader struct{}
 
 func (errReader) Read([]byte) (int, error) { return 0, errors.New("aborted") }
 
-// TestCoordinatorBodyErrorMapping: only an oversized body maps to the
-// 413 too_large code; any other body-read failure is a 400
-// invalid_layout, matching the worker-side mapping.
+// TestCoordinatorBodyErrorMapping is the contract of the shared HTTP
+// edge: a worker and a coordinator answer the same bad route requests
+// with the same status, wire code and Retry-After. Only an oversized body
+// is 413 too_large; every other body, envelope or layout failure is a 400
+// invalid_layout. Malformed cluster-plane bodies, oversized ones
+// included, are 400 invalid_config.
 func TestCoordinatorBodyErrorMapping(t *testing.T) {
-	c := newTestCoord(t, Config{})
-	h := c.Handler()
-	cases := []struct {
-		name string
-		body func() io.Reader
-		want int
-	}{
-		{"aborted read", func() io.Reader { return errReader{} }, http.StatusBadRequest},
-		{"oversized", func() io.Reader { return bytes.NewReader(make([]byte, maxBodyBytes+1)) }, http.StatusRequestEntityTooLarge},
+	worker := newServeService(t).Handler()
+	coord := newTestCoord(t, Config{}).Handler()
+	type answer struct {
+		status     int
+		code       string
+		retryAfter string
 	}
-	for _, tc := range cases {
-		req := httptest.NewRequest(http.MethodPost, wire.PathRoute, tc.body())
+	post := func(h http.Handler, path string, body io.Reader, proto string) answer {
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		if proto != "" {
+			req.Header.Set(wire.ProtoHeader, proto)
+		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
-		if rec.Code != tc.want {
-			t.Errorf("%s on %s = %d, want %d", tc.name, wire.PathRoute, rec.Code, tc.want)
+		var e wire.Error
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("POST %s: error body %q: %v", path, rec.Body.String(), err)
+		}
+		return answer{rec.Code, e.Code, rec.Header().Get("Retry-After")}
+	}
+	envelope := func(layout string) func() io.Reader {
+		return func() io.Reader { return strings.NewReader(`{"layout":` + layout + `}`) }
+	}
+	badLayout := answer{http.StatusBadRequest, "invalid_layout", ""}
+	cases := []struct {
+		name  string
+		body  func() io.Reader
+		proto string
+		want  answer
+	}{
+		{"unsupported proto", envelope(clusterLayout), "99", answer{http.StatusBadRequest, "unsupported_proto", ""}},
+		{"oversized", func() io.Reader { return bytes.NewReader(make([]byte, wire.MaxBodyBytes+1)) }, "",
+			answer{http.StatusRequestEntityTooLarge, "too_large", ""}},
+		{"aborted read", func() io.Reader { return errReader{} }, "", badLayout},
+		{"non-JSON envelope", func() io.Reader { return strings.NewReader(`{"layout":`) }, "", badLayout},
+		{"no layout", func() io.Reader { return strings.NewReader(`{"edges":true}`) }, "", badLayout},
+		{"undecodable layout", envelope(`{"grid":{"h":3}}`), "", badLayout},
+		{"layout over MaxVolume", envelope(`{"name":"x","grid":{"h":2048,"v":1024,"m":1,` +
+			`"viaCost":1,"dx":[],"dy":[],"pins":[0,1]}}`), "", badLayout},
+	}
+	for _, tc := range cases {
+		fromWorker := post(worker, wire.PathRoute, tc.body(), tc.proto)
+		fromCoord := post(coord, wire.PathRoute, tc.body(), tc.proto)
+		if fromWorker != tc.want || fromCoord != tc.want {
+			t.Errorf("%s: worker %+v, coordinator %+v; want both %+v", tc.name, fromWorker, fromCoord, tc.want)
+		}
+	}
+
+	badConfig := answer{http.StatusBadRequest, "invalid_config", ""}
+	oversized := `"` + strings.Repeat("x", wire.MaxBodyBytes) + `"`
+	for _, path := range []string{wire.PathRegister, wire.PathLease, wire.PathDrain} {
+		for _, body := range []string{``, `{"id":`, `[1]`, oversized} {
+			if got := post(coord, path, strings.NewReader(body), ""); got != badConfig {
+				t.Errorf("POST %s %.20q = %+v, want %+v", path, body, got, badConfig)
+			}
 		}
 	}
 }
@@ -486,9 +528,9 @@ func TestUnversionedPathsGone(t *testing.T) {
 	}
 }
 
-// newServeWorker stands up a real routing worker (a serve.Service behind
-// httptest) for end-to-end coordinator tests.
-func newServeWorker(t *testing.T) *httptest.Server {
+// newServeService builds a real routing worker on a small random
+// selector.
+func newServeService(t *testing.T) *serve.Service {
 	t.Helper()
 	sel, err := selector.NewRandom(rand.New(rand.NewSource(1)),
 		nn.UNetConfig{InChannels: selector.NumFeatures, Base: 2, Depth: 1, Kernel: 3})
@@ -500,7 +542,14 @@ func newServeWorker(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	srv := httptest.NewServer(s.Handler())
+	return s
+}
+
+// newServeWorker stands up a real routing worker (a serve.Service behind
+// httptest) for end-to-end coordinator tests.
+func newServeWorker(t *testing.T) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(newServeService(t).Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }

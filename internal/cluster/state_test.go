@@ -39,8 +39,8 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	if byID["w1"].Addr != srv1.URL || byID["w2"].Addr != srv2.URL {
 		t.Errorf("restored addresses = %+v, want the registered ones", ws)
 	}
-	// RecoveryGrace floors at LeaseTTL: restored workers get the full
-	// window to renew before the sweep can collect them.
+	// A restored worker's lease is LeaseTTL: the full window to renew
+	// before the sweep can collect it.
 	for _, w := range ws {
 		if w.LeaseMillis != 10_000 {
 			t.Errorf("restored worker %s lease = %dms, want the 10s grace", w.ID, w.LeaseMillis)

@@ -14,8 +14,8 @@ func loadCallgraphCorpus(t *testing.T) *Program {
 		t.Fatal(err)
 	}
 	pkgs, err := loader.Load(
-		filepath.Join("internal", "lint", "testdata", "src", "cga"),
-		filepath.Join("internal", "lint", "testdata", "src", "cgb"),
+		filepath.Join("testdata", "src", "cga"),
+		filepath.Join("testdata", "src", "cgb"),
 	)
 	if err != nil {
 		t.Fatal(err)

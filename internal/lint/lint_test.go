@@ -40,7 +40,7 @@ var corpusCases = []struct {
 func loadCorpus(t *testing.T, loader *Loader, dirs []string) []*Package {
 	t.Helper()
 	if len(dirs) == 1 {
-		rel := filepath.Join("internal", "lint", "testdata", "src", dirs[0])
+		rel := filepath.Join("testdata", "src", dirs[0])
 		pkg, err := loader.LoadCorpus(rel, dirs[0])
 		if err != nil {
 			t.Fatal(err)
@@ -49,7 +49,7 @@ func loadCorpus(t *testing.T, loader *Loader, dirs []string) []*Package {
 	}
 	var pats []string
 	for _, d := range dirs {
-		pats = append(pats, filepath.Join("internal", "lint", "testdata", "src", d))
+		pats = append(pats, filepath.Join("testdata", "src", d))
 	}
 	pkgs, err := loader.Load(pats...)
 	if err != nil {
@@ -195,7 +195,7 @@ func TestRepoLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.Load("./...")
+	pkgs, err := loader.Load(filepath.Join(loader.ModuleRoot, "..."))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestLoaderBuildConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.LoadCorpus(filepath.Join("internal", "lint", "testdata", "src", "buildtags"), "buildtags")
+	pkg, err := loader.LoadCorpus(filepath.Join("testdata", "src", "buildtags"), "buildtags")
 	if err != nil {
 		t.Fatal(err)
 	}

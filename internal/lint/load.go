@@ -24,13 +24,18 @@ type Loader struct {
 	ModuleRoot string
 	ModulePath string
 
+	// dir is the absolute directory the loader was made for. Relative
+	// patterns resolve against it, as the go tool resolves them against
+	// the working directory.
+	dir     string
 	std     types.Importer
 	pkgs    map[string]*Package // by import path
 	loading map[string]bool     // cycle guard
 }
 
 // NewLoader locates the module containing dir (by walking up to go.mod)
-// and returns a loader rooted there.
+// and returns a loader for that module that resolves relative patterns
+// against dir.
 func NewLoader(dir string) (*Loader, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -56,6 +61,7 @@ func NewLoader(dir string) (*Loader, error) {
 		Fset:       fset,
 		ModuleRoot: root,
 		ModulePath: modPath,
+		dir:        abs,
 		std:        importer.ForCompiler(fset, "source", nil),
 		pkgs:       make(map[string]*Package),
 		loading:    make(map[string]bool),
@@ -78,8 +84,8 @@ func modulePath(gomod string) (string, error) {
 }
 
 // expand resolves the patterns ("./...", "dir/...", or plain directories,
-// relative to the loader's module root) to the matched package directories
-// in deterministic sorted order.
+// relative to the loader's dir) to the matched package directories in
+// deterministic sorted order.
 func (l *Loader) expand(patterns []string) ([]string, error) {
 	dirs := map[string]bool{}
 	for _, pat := range patterns {
@@ -91,10 +97,7 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 				pat = "."
 			}
 		}
-		base := pat
-		if !filepath.IsAbs(base) {
-			base = filepath.Join(l.ModuleRoot, base)
-		}
+		base := l.abs(pat)
 		if !rec {
 			dirs[base] = true
 			continue
@@ -151,11 +154,15 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 // LoadCorpus loads a single testdata directory as the synthetic import
 // path "testdata/<name>", used by the golden-corpus tests.
 func (l *Loader) LoadCorpus(dir, name string) (*Package, error) {
-	abs := dir
-	if !filepath.IsAbs(abs) {
-		abs = filepath.Join(l.ModuleRoot, dir)
+	return l.loadDir(l.abs(dir), "testdata/"+name)
+}
+
+// abs resolves a path against the loader's dir.
+func (l *Loader) abs(path string) string {
+	if filepath.IsAbs(path) {
+		return path
 	}
-	return l.loadDir(abs, "testdata/"+name)
+	return filepath.Join(l.dir, path)
 }
 
 func (l *Loader) importPathFor(dir string) string {

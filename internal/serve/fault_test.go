@@ -22,8 +22,7 @@ func TestServeDegradesUnderSelectorFault(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	var slept []time.Duration
 	s := newTestService(t, Config{
-		MaxRetries: 2,
-		sleep:      func(d time.Duration) { slept = append(slept, d) },
+		sleep: func(d time.Duration) { slept = append(slept, d) },
 	})
 	in := serveInstance(t, 42, 6, 6, 2, 5)
 
@@ -74,8 +73,7 @@ func TestRetryRecoversWithinBudget(t *testing.T) {
 	fault.Reset()
 	t.Cleanup(fault.Reset)
 	s := newTestService(t, Config{
-		MaxRetries: 2,
-		sleep:      func(time.Duration) {},
+		sleep: func(time.Duration) {},
 	})
 	fault.Set("selector.infer", fault.Options{Mode: fault.Error, Times: 1})
 	resp, err := s.Submit(context.Background(), serveInstance(t, 43, 6, 6, 2, 5))

@@ -3,22 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"time"
 
-	"oarsmt/internal/errs"
 	"oarsmt/internal/layout"
 	"oarsmt/internal/obs"
 	"oarsmt/wire"
 )
-
-// maxBodyBytes bounds a route request body; layouts are JSON and even
-// dense 256x256x4 obstacle grids fit comfortably.
-const maxBodyBytes = 8 << 20
 
 // Handler returns the service's HTTP surface, the versioned wire
 // protocol:
@@ -49,22 +40,9 @@ func (s *Service) Handler() http.Handler {
 // handleRouteV1 serves the typed protocol: a wire.RouteRequest envelope,
 // with the per-request options as message fields.
 func (s *Service) handleRouteV1(w http.ResponseWriter, r *http.Request) {
-	if err := wire.CheckProto(r); err != nil {
-		wire.WriteError(w, err)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeBodyError(w, err)
-		return
-	}
 	var req wire.RouteRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		wire.WriteError(w, fmt.Errorf("%w: request envelope: %v", errs.ErrInvalidLayout, err))
-		return
-	}
-	if len(req.Layout) == 0 {
-		wire.WriteError(w, fmt.Errorf("%w: request envelope has no layout", errs.ErrInvalidLayout))
+	if err := wire.ReadEnvelope(w, r, &req, &req.Layout); err != nil {
+		wire.WriteError(w, err)
 		return
 	}
 	in, err := layout.DecodeWithLimit(bytes.NewReader(req.Layout), s.cfg.MaxVolume)
@@ -90,36 +68,15 @@ func (s *Service) handleRouteV1(w http.ResponseWriter, r *http.Request) {
 	if !req.Edges {
 		resp.Edges = nil
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// writeBodyError maps a body-read or layout-decode failure, keeping the
-// 413 for oversized bodies distinct from a 400 for malformed ones.
-func writeBodyError(w http.ResponseWriter, err error) {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		wire.WriteError(w, fmt.Errorf("%w: request body too large", errs.ErrTooLarge))
-		return
-	}
-	if !errors.Is(err, errs.ErrInvalidLayout) {
-		err = fmt.Errorf("%w: %v", errs.ErrInvalidLayout, err)
-	}
-	wire.WriteError(w, err)
+	wire.WriteJSON(w, resp)
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	wire.SetProto(w.Header())
-	if s.Closed() {
-		wire.WriteError(w, fmt.Errorf("%w: draining", errs.ErrClosed))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte("ok\n"))
+	wire.WriteHealthz(w, s.Closed())
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	wire.WriteJSON(w, s.Stats())
 }
 
 // handleMetrics exposes the service registry followed by the process-wide
@@ -133,13 +90,4 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	obs.Default.WritePrometheus(w)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	wire.SetProto(w.Header())
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

@@ -101,16 +101,6 @@ type Config struct {
 	// it when routes must survive a crash quickly (the corrupt-store chaos
 	// scenario runs at 1); Close always lands the partial batch regardless.
 	StoreFlushEvery int
-	// MaxRetries is how many times a transient selector-inference failure
-	// (an error matching oarsmt.ErrTransient) is retried before the
-	// request degrades to the plain-OARMST fallback; 0 means 2, negative
-	// disables retries.
-	MaxRetries int
-	// RetryBackoff is the first retry's delay, doubling per attempt up to
-	// RetryBackoffMax. The schedule is deterministic — no jitter — so
-	// fault-injection tests replay exactly. Defaults: 1ms, capped at 50ms.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
 
 	// gate, when non-nil, is waited on by every lane before each pass;
 	// test hook for deterministically holding the queue full. Tests only
@@ -134,23 +124,22 @@ func (c Config) withDefaults() Config {
 	if c.MaxVolume <= 0 {
 		c.MaxVolume = 1 << 20
 	}
-	switch {
-	case c.MaxRetries == 0:
-		c.MaxRetries = 2
-	case c.MaxRetries < 0:
-		c.MaxRetries = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = time.Millisecond
-	}
-	if c.RetryBackoffMax <= 0 {
-		c.RetryBackoffMax = 50 * time.Millisecond
-	}
 	if c.sleep == nil {
 		c.sleep = time.Sleep
 	}
 	return c
 }
+
+// A transient selector-inference failure (an error matching
+// oarsmt.ErrTransient) is retried maxRetries times before the request
+// degrades to the plain-OARMST fallback. The first retry waits
+// retryBackoff, doubling per attempt up to retryBackoffMax; the schedule
+// is deterministic — no jitter — so fault-injection tests replay exactly.
+const (
+	maxRetries      = 2
+	retryBackoff    = time.Millisecond
+	retryBackoffMax = 50 * time.Millisecond
+)
 
 // Coord3 is a grid coordinate in a JSON-friendly shape. It is the wire
 // protocol's coordinate type; the alias keeps every in-repo call site
@@ -610,26 +599,24 @@ func (s *Service) routeFallback(j *job, batchSize int) {
 }
 
 // proposeWithRetry runs the shared selector's proposal, retrying transient
-// failures (errors matching errs.ErrTransient) up to Config.MaxRetries
+// failures (errors matching errs.ErrTransient) up to maxRetries
 // times with deterministic capped exponential backoff. The backoff sleeps
 // through the injected Config.sleep clock, never reads the wall clock, and
 // has no jitter, so a seeded fault schedule replays identically.
 func (s *Service) proposeWithRetry(ctx context.Context, in *layout.Instance) ([]grid.VertexID, int, error) {
-	backoff := s.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		sps, inf, err := s.router.TryPropose(in)
 		if err == nil {
 			return sps, inf, nil
 		}
-		if !errors.Is(err, errs.ErrTransient) || attempt >= s.cfg.MaxRetries || ctx.Err() != nil {
+		if !errors.Is(err, errs.ErrTransient) || attempt >= maxRetries || ctx.Err() != nil {
 			return nil, 0, err
 		}
 		s.m.retries.Inc()
 		s.cfg.sleep(backoff)
 		backoff *= 2
-		if backoff > s.cfg.RetryBackoffMax {
-			backoff = s.cfg.RetryBackoffMax
-		}
+		backoff = min(backoff, retryBackoffMax)
 	}
 }
 

@@ -78,10 +78,6 @@ func Sentinel(code string) error {
 	return nil
 }
 
-// HTTPStatus maps an error to its response status per the API.md table;
-// an error matching no sentinel is 422.
-func HTTPStatus(err error) int { return classify(err).status }
-
 // WriteError writes the error response for err: the mapped status, the
 // Retry-After header on backpressure classes, the protocol version
 // header, and the JSON Error body with the sentinel code.
@@ -97,12 +93,7 @@ func WriteError(w http.ResponseWriter, err error) {
 // handler-level helper for conditions that are not sentinel-backed (bad
 // query parameters, oversized bodies).
 func WriteErrorStatus(w http.ResponseWriter, status int, code, msg string) {
-	SetProto(w.Header())
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(Error{Code: code, Message: msg})
+	writeJSON(w, status, Error{Code: code, Message: msg})
 }
 
 // AsError reconstructs the client-side error for a non-2xx response: a
