@@ -17,9 +17,8 @@ test-short:
 	go test -short ./...
 
 # The project-specific determinism & concurrency analyzers (internal/lint):
-# detmap, nowallclock, seededrand, rawgo, floatreduce, ctxhygiene,
-# obsnames, goroleak, spanend, plus the interprocedural dettaint and
-# errwrap. Every run type-checks the module from source (~3.5 s on two
+# rawgo, floatreduce, ctxhygiene, obsnames, goroleak, spanend, plus the
+# interprocedural dettaint (the one determinism check) and errwrap. Every run type-checks the module from source (~3.5 s on two
 # vCPUs) and exits nonzero on any finding. See DESIGN.md "Static analysis".
 lint:
 	go run ./cmd/oarsmt-lint -timing ./...

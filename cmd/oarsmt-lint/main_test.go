@@ -40,7 +40,8 @@ func runLint(t *testing.T, root string, args ...string) (code int, stdout, stder
 
 // TestExitCodes drives the command over a scratch module: a clean module
 // exits 0, one wall-clock read exits 1 and is the single -json finding
-// (with a module-relative path), and an unknown analyzer is a usage error.
+// (with a module-relative path), an unknown analyzer is a usage error —
+// the folded nowallclock included — and -list prints the 8 analyzers.
 func TestExitCodes(t *testing.T) {
 	clean := writeModule(t, "return t.UnixNano()")
 	if code, out, errOut := runLint(t, clean); code != 0 || out != "" {
@@ -68,8 +69,8 @@ func TestExitCodes(t *testing.T) {
 	if len(diags) != 1 {
 		t.Fatalf("got %d findings %+v, want 1", len(diags), diags)
 	}
-	if d := diags[0]; d.File != "a/a.go" || d.Line != 5 || d.Analyzer != "nowallclock" {
-		t.Errorf("finding = %+v, want nowallclock at a/a.go:5", d)
+	if d := diags[0]; d.File != "a/a.go" || d.Line != 5 || d.Analyzer != "dettaint" {
+		t.Errorf("finding = %+v, want dettaint at a/a.go:5", d)
 	}
 
 	// Relative patterns resolve against the directory the command runs
@@ -84,7 +85,12 @@ func TestExitCodes(t *testing.T) {
 		t.Errorf("dirty module, ../a in b/: exit %d, stderr %q; want 1", code, errOut)
 	}
 
-	if code, _, errOut := runLint(t, clean, "-enable", "nosuch"); code != 2 || !strings.Contains(errOut, `"nosuch"`) {
-		t.Errorf("unknown -enable: exit %d, stderr %q; want 2 naming the analyzer", code, errOut)
+	for _, name := range []string{"nosuch", "nowallclock"} {
+		if code, _, errOut := runLint(t, clean, "-enable", name); code != 2 || !strings.Contains(errOut, `"`+name+`"`) {
+			t.Errorf("-enable %s: exit %d, stderr %q; want 2 naming the analyzer", name, code, errOut)
+		}
+	}
+	if code, out, _ := runLint(t, clean, "-list"); code != 0 || strings.Count(out, "\n") != 8 {
+		t.Errorf("-list: exit %d, stdout %q; want 0 and 8 analyzers", code, out)
 	}
 }

@@ -24,7 +24,11 @@
 // timestamps, so checkpoint bytes are a pure function of the payload and
 // resume replays are bit-exact.
 //
-// Fault points (internal/fault): `ckpt.write` fires inside Save — Error
+// The same write and listing serve any Series of framed, sequence-numbered
+// files; internal/store keeps its segments as one (seg-NNNNNNNN.seg).
+//
+// Fault points (internal/fault): a series' point fires inside its Write —
+// `ckpt.write` for checkpoints, `store.write` for store segments. Error
 // aborts before the temp file is renamed (a clean crash), Partial renames
 // a frame truncated mid-payload onto the final name (a torn write) so
 // recovery paths can be exercised deterministically.
@@ -40,6 +44,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 
 	"oarsmt/internal/errs"
 	"oarsmt/internal/fault"
@@ -128,15 +134,29 @@ func Decode(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
+// Series is one family of framed, sequence-numbered files in a directory:
+// the training checkpoints (ckpt-NNNNNNNN.ckpt) and the route store's
+// segments (seg-NNNNNNNN.seg).
+type Series struct {
+	// Format names file seq as fmt.Sprintf(Format, seq); it holds exactly
+	// one %08d verb.
+	Format string
+	// Fault names the fault point Write checks.
+	Fault string
+}
+
+// checkpoints is the series Save, List and Name address.
+var checkpoints = Series{Format: "ckpt-%08d.ckpt", Fault: "ckpt.write"}
+
 // Name returns the file name of sequence number seq.
-func Name(seq int) string { return fmt.Sprintf("ckpt-%08d.ckpt", seq) }
+func (s Series) Name(seq int) string { return fmt.Sprintf(s.Format, seq) }
+
+// Name returns the checkpoint file name of sequence number seq.
+func Name(seq int) string { return checkpoints.Name(seq) }
 
 // Save atomically writes the payload as the checkpoint with sequence
 // number seq in dir (creating the directory if needed) and returns its
-// path. On any error the final name is either absent or still the
-// previous checkpoint of that sequence — never a half-written frame —
-// except under an injected partial-write fault, which deliberately lands
-// a truncated frame to exercise recovery.
+// path; see Series.Write.
 func Save(dir string, seq int, payload []byte) (string, error) {
 	if seq < 0 {
 		return "", fmt.Errorf("%w: ckpt: negative sequence number %d", errs.ErrInvalidConfig, seq)
@@ -144,24 +164,33 @@ func Save(dir string, seq int, payload []byte) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	final := filepath.Join(dir, Name(seq))
+	return checkpoints.Write(dir, seq, payload)
+}
+
+// Write atomically lands the framed payload as file seq of the series in
+// dir, which must exist, and returns its path. On any error the final
+// name is either absent or still the previous file of that sequence —
+// never a half-written frame — except under an injected partial-write
+// fault, which deliberately lands a truncated frame to exercise recovery.
+func (s Series) Write(dir string, seq int, payload []byte) (string, error) {
+	final := filepath.Join(dir, s.Name(seq))
 	tmp := final + ".tmp"
 
-	var frame bytes.Buffer
-	if err := Encode(&frame, payload); err != nil {
+	frame := bytes.NewBuffer(make([]byte, 0, headerSize+len(payload)+trailerSize))
+	if err := Encode(frame, payload); err != nil {
 		return "", err
 	}
 	data := frame.Bytes()
 
 	torn := false
-	if v := fault.Check("ckpt.write"); v.Mode != fault.Off {
+	if v := fault.Check(s.Fault); v.Mode != fault.Off {
 		switch v.Mode {
 		case fault.Partial:
 			// Simulate a torn write: half the frame lands on the final name.
 			data = data[:len(data)/2]
 			torn = true
 		default:
-			return "", fmt.Errorf("ckpt: write %s: %w", final, v.Err)
+			return "", fmt.Errorf("%s %s: %w", s.Fault, final, v.Err)
 		}
 	}
 
@@ -189,7 +218,7 @@ func Save(dir string, seq int, payload []byte) (string, error) {
 	}
 	syncDir(dir)
 	if torn {
-		return "", fmt.Errorf("%w: ckpt: write %s: injected torn write", fault.ErrInjected, final)
+		return "", fmt.Errorf("%w: %s %s: injected torn write", fault.ErrInjected, s.Fault, final)
 	}
 	return final, nil
 }
@@ -217,16 +246,19 @@ func Load(path string) ([]byte, error) {
 	return payload, nil
 }
 
-// Entry names one checkpoint file of a directory.
+// Entry names one file of a series.
 type Entry struct {
 	Seq  int
 	Path string
 }
 
-// List returns the checkpoints of dir sorted by ascending sequence
-// number. Files not matching the ckpt-NNNNNNNN.ckpt pattern (including
-// leftover *.tmp files) are ignored. A missing directory lists empty.
-func List(dir string) ([]Entry, error) {
+// List returns the checkpoints of dir sorted by ascending sequence number.
+func List(dir string) ([]Entry, error) { return checkpoints.List(dir) }
+
+// List returns the files of the series in dir sorted by ascending sequence
+// number. Files not matching its name pattern (including leftover *.tmp
+// files) are ignored. A missing directory lists empty.
+func (s Series) List(dir string) ([]Entry, error) {
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -234,16 +266,11 @@ func List(dir string) ([]Entry, error) {
 		}
 		return nil, err
 	}
+	prefix, suffix, _ := strings.Cut(s.Format, "%08d")
 	var out []Entry
 	for _, de := range des {
-		if de.IsDir() {
-			continue
-		}
-		var seq int
-		if n, err := fmt.Sscanf(de.Name(), "ckpt-%d.ckpt", &seq); n != 1 || err != nil {
-			continue
-		}
-		if de.Name() != Name(seq) { // reject ckpt-1.ckpt.tmp-style stragglers
+		seq, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(de.Name(), prefix), suffix))
+		if err != nil || de.IsDir() || de.Name() != s.Name(seq) { // exact names only: no *.tmp stragglers
 			continue
 		}
 		out = append(out, Entry{Seq: seq, Path: filepath.Join(dir, de.Name())})

@@ -22,8 +22,12 @@ type Program struct {
 	Funcs map[*types.Func]*FuncInfo
 	// order holds the functions in deterministic (package path, position)
 	// order, so every traversal of the graph is reproducible.
-	order  []*FuncInfo
-	byFile map[string]*Package
+	order []*FuncInfo
+	// sources holds every nondeterminism source of the packages, in
+	// function bodies and package-level declarations alike, annotated
+	// ones included.
+	sources []Source
+	byFile  map[string]*Package
 }
 
 // FuncInfo is one call-graph node.

@@ -6,20 +6,26 @@ import (
 	"strings"
 )
 
-// AnalyzerDettaint is the interprocedural determinism-taint check: it
-// walks the call graph from the deterministic roots — the functions whose
-// outputs the reproduction guarantees bit-for-bit (core routing, MCTS
-// search, RL label generation) — and reports every nondeterminism source
-// (wall-clock read, global math/rand call, order-escaping map range)
-// transitively reachable from one, with the call path in the message.
+// AnalyzerDettaint is the one determinism analyzer. Every nondeterminism
+// source — wall-clock read, global math/rand call, order-escaping map
+// range — in a function body or a package-level declaration is reported
+// once, at its position:
 //
-// This subsumes the package-allowlist blind spot of nowallclock and
-// seededrand: those flag *direct* reads per package, which goes blind the
-// moment a clock read hides one package boundary away from a reward
-// computation. Sources carrying a reviewed //oarsmt:allow annotation for
-// nowallclock/seededrand/detmap are sanctioned (the obs span clocks, the
-// store compaction timestamps); a taint-specific exception is written as
-// //oarsmt:allow dettaint(reason) on the source line.
+//   - If a deterministic root reaches it — the functions whose outputs
+//     the reproduction guarantees bit-for-bit (core routing, MCTS search,
+//     RL label generation) — the finding names the root and the call
+//     path, however many package boundaries lie between them.
+//   - Otherwise it is a finding where its per-site rule applies (see
+//     siteRule): map order in the deterministic packages, a clock read
+//     outside package main and the timing packages, a global rand call
+//     anywhere.
+//
+// A reviewed exception is written as //oarsmt:allow dettaint(reason) on
+// the source line or the line above (the obs span clocks, the store
+// compaction timestamps). An annotated source does not propagate through
+// the summaries; it is still reported wherever it would be without the
+// annotation, so the annotation counts as used, and goes stale (a finding
+// of its own) once nothing would report the source.
 //
 // Roots are matched by the table below plus any function whose doc
 // comment carries an //oarsmt:detroot directive (used by the golden
@@ -27,7 +33,7 @@ import (
 // deterministic surfaces).
 var AnalyzerDettaint = &Analyzer{
 	Name:       "dettaint",
-	Doc:        "nondeterminism sources reachable from deterministic roots (interprocedural)",
+	Doc:        "clock reads, global math/rand and escaping map order, per site and from deterministic roots",
 	RunProgram: runDettaint,
 }
 
@@ -35,7 +41,7 @@ var AnalyzerDettaint = &Analyzer{
 const detRootMarker = "//oarsmt:detroot"
 
 // detRoots are the functions whose transitive call trees must be free of
-// unsanctioned nondeterminism: the routing core, the searcher that
+// unannotated nondeterminism: the routing core, the searcher that
 // generates training labels, and the trainer stages that consume them.
 var detRoots = []struct {
 	pkgSuffix string // module-relative package suffix
@@ -128,6 +134,37 @@ func runDettaint(prog *Program, report func(pos token.Pos, format string, args .
 			}
 		}
 	}
+	live := rootReachable(prog)
+	for _, src := range prog.sources {
+		if !reported[src.Pos] && (src.local || src.allowed && live[src.fn]) {
+			report(src.Pos, "%s", src.siteMessage())
+		}
+	}
+}
+
+// rootReachable returns every function some deterministic root calls,
+// directly or transitively, itself included. It places the annotated
+// sources, which the pruned taint walk never visits.
+func rootReachable(prog *Program) map[*FuncInfo]bool {
+	live := make(map[*FuncInfo]bool)
+	var queue []*FuncInfo
+	for _, fi := range prog.Functions() {
+		if isDetRoot(fi) {
+			live[fi] = true
+			queue = append(queue, fi)
+		}
+	}
+	for len(queue) > 0 {
+		fi := queue[0]
+		queue = queue[1:]
+		for _, call := range fi.Calls {
+			if callee, ok := prog.Funcs[call.Callee]; ok && !live[callee] {
+				live[callee] = true
+				queue = append(queue, callee)
+			}
+		}
+	}
+	return live
 }
 
 // pathString renders the BFS chain root → … → fi.

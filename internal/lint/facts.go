@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -10,9 +9,8 @@ import (
 
 // This file is the shared fact-extraction layer: the syntactic patterns
 // that identify nondeterminism sources and error-contract facts are
-// recognised in exactly one place, used both by the package-local
-// analyzers (nowallclock, seededrand are thin wrappers over it) and by
-// the interprocedural summary computation (callgraph.go / summary.go).
+// recognised in exactly one place, and the interprocedural summary
+// computation (callgraph.go / summary.go) is their only consumer.
 
 // SourceKind classifies one nondeterminism source.
 type SourceKind uint8
@@ -45,109 +43,244 @@ type Source struct {
 	Kind SourceKind
 	Pos  token.Pos
 	// Desc names the offending expression ("time.Now", "rand.Intn",
-	// "range over m").
+	// "range over map m").
 	Desc string
+	// allowed reports that an //oarsmt:allow dettaint annotation covers
+	// the source: it never propagates through summaries.
+	allowed bool
+	// local reports that the source is a finding at its own site, whether
+	// or not a deterministic root reaches it (see siteRule).
+	local bool
+	// fn is the enclosing declared function; nil at package level.
+	fn *FuncInfo
 }
 
-// sanctioningAnalyzers are the legacy per-site analyzers whose
-// //oarsmt:allow annotations also sanction a source for the taint engine:
-// an annotated clock read (obs span timing, store compaction timestamps)
-// is a reviewed, reasoned exception and must not re-surface as a dettaint
-// finding at every deterministic root that reaches it.
-var sanctioningAnalyzers = []string{"nowallclock", "seededrand", "detmap"}
-
-// sourceIndex answers "is this position covered by a sanctioning
-// annotation" for one package.
-type sourceIndex struct {
-	p *Package
-	// sanctionedLines is keyed by file:line of the line *covered* by a
-	// sanctioning annotation (the annotation's own line and the line
-	// below it, matching the suppression rule in lint.go).
-	sanctionedLines map[string]bool
-}
-
-func newSourceIndex(p *Package) *sourceIndex {
-	idx := &sourceIndex{p: p, sanctionedLines: make(map[string]bool)}
-	anns, _ := collectAnnotations(p)
-	for _, an := range anns {
-		for _, name := range sanctioningAnalyzers {
-			if an.analyzer == name {
-				idx.sanctionedLines[fmt.Sprintf("%s:%d", an.pos.Filename, an.pos.Line)] = true
-				idx.sanctionedLines[fmt.Sprintf("%s:%d", an.pos.Filename, an.pos.Line+1)] = true
-			}
-		}
+// siteMessage is the finding for a source that no deterministic root
+// reaches.
+func (s Source) siteMessage() string {
+	switch s.Kind {
+	case SrcWallClock:
+		return s.Desc + " outside timing code: wall-clock reads make results vary run to run; plumb durations in from the caller or annotate //oarsmt:allow dettaint(reason)"
+	case SrcGlobalRand:
+		return s.Desc + " uses the shared global source: results depend on call interleaving; use a seeded rand.New(rand.NewSource(seed)) instance"
 	}
-	return idx
+	return s.Desc + ": iteration order may leak into results; collect and sort keys, or annotate //oarsmt:allow dettaint(reason)"
 }
 
-func (idx *sourceIndex) sanctioned(pos token.Pos) bool {
-	p := idx.p.Fset.Position(pos)
-	return idx.sanctionedLines[fmt.Sprintf("%s:%d", p.Filename, p.Line)]
+var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
+
+// wallClockPackages are the module-relative packages allowed to read the
+// wall clock wholesale: the serving layer (request latency is the product)
+// and the experiment/baseline harnesses (elapsed time is the measurement).
+// Everywhere else a read needs a per-site //oarsmt:allow dettaint(reason)
+// — internal/store's compaction timestamps are the canonical example: an
+// annotated read feeding metrics only, while the rest of the package stays
+// clock-free so segment bytes are a pure function of the records. Package
+// main (cmd/ daemons, examples) is always exempt.
+var wallClockPackages = []string{
+	"internal/serve",
+	"internal/cluster",
+	"internal/experiments",
+	"internal/baseline",
 }
 
-// wallClockSources appends every time.Now/Since/Until read under n.
-func wallClockSources(p *Package, n ast.Node, into []Source) []Source {
-	ast.Inspect(n, func(nd ast.Node) bool {
-		sel, ok := nd.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if name, ok := selTo(p, sel, "time"); ok && wallClockFuncs[name] {
-			into = append(into, Source{Kind: SrcWallClock, Pos: sel.Pos(), Desc: "time." + name})
+// randConstructors build explicit per-purpose generators; only the other
+// package-level math/rand functions draw from the shared global source.
+var randConstructors = map[string]bool{
+	"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true, "NewZipf": true,
+}
+
+// siteRule reports whether a source of kind k in the file is a finding at
+// its own site: map order in the deterministic files, a clock read outside
+// package main and the timing packages, a global rand call anywhere.
+func siteRule(p *Package, file string, k SourceKind) bool {
+	switch k {
+	case SrcMapOrder:
+		return isDeterministicFile(p, file)
+	case SrcWallClock:
+		return p.Name != "main" && !pathIsAny(p.Path, wallClockPackages...)
+	}
+	return true
+}
+
+// declSources returns every nondeterminism source of one top-level
+// declaration in source order: wall-clock reads, global math/rand uses
+// (calls and function values alike), and map ranges that are not
+// collect-then-sorted. Package-level declarations count too: a
+// `var t = time.Now()` initializer or a func literal held in a package
+// variable.
+func declSources(p *Package, decl ast.Decl) []Source {
+	var out []Source
+	sorts := sortCalls(p, decl)
+	ast.Inspect(decl, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if name, ok := selTo(p, n, "time"); ok && wallClockFuncs[name] {
+				out = append(out, Source{Kind: SrcWallClock, Pos: n.Pos(), Desc: "time." + name})
+			} else if isGlobalRand(p, n) {
+				out = append(out, Source{Kind: SrcGlobalRand, Pos: n.Pos(), Desc: "rand." + n.Sel.Name})
+			}
+		case *ast.RangeStmt:
+			tv, ok := p.Info.Types[n.X]
+			if !ok || tv.Type == nil {
+				return true
+			}
+			if _, isMap := tv.Type.Underlying().(*types.Map); isMap && !collectThenSorted(p, n, sorts) {
+				out = append(out, Source{Kind: SrcMapOrder, Pos: n.For, Desc: "range over map " + types.ExprString(n.X)})
+			}
 		}
 		return true
 	})
-	return into
+	return out
 }
 
-// globalRandSources appends every math/rand package-level function use
-// under n (the seeded constructor family is exempt, as in seededrand).
-func globalRandSources(p *Package, n ast.Node, into []Source) []Source {
-	ast.Inspect(n, func(nd ast.Node) bool {
-		sel, ok := nd.(*ast.SelectorExpr)
+// isGlobalRand reports whether the selector names a math/rand package-level
+// function other than a seeded constructor.
+func isGlobalRand(p *Package, sel *ast.SelectorExpr) bool {
+	pkg := pkgOf(p, sel.X)
+	if pkg == nil || (pkg.Path() != "math/rand" && pkg.Path() != "math/rand/v2") {
+		return false
+	}
+	_, isFunc := p.Info.Uses[sel.Sel].(*types.Func)
+	return isFunc && !randConstructors[sel.Sel.Name]
+}
+
+// sortCall records one sort.*/slices.* call and the variables its
+// arguments reference.
+type sortCall struct {
+	pos  token.Pos
+	objs map[types.Object]bool
+}
+
+func sortCalls(p *Package, n ast.Node) []sortCall {
+	var out []sortCall
+	ast.Inspect(n, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
 		pkg := pkgOf(p, sel.X)
-		if pkg == nil || (pkg.Path() != "math/rand" && pkg.Path() != "math/rand/v2") {
+		if pkg == nil || (pkg.Path() != "sort" && pkg.Path() != "slices") {
 			return true
 		}
-		obj := p.Info.Uses[sel.Sel]
-		if _, isFunc := obj.(*types.Func); !isFunc || randConstructors[sel.Sel.Name] {
-			return true
+		sc := sortCall{pos: call.Pos(), objs: make(map[types.Object]bool)}
+		for _, arg := range call.Args {
+			ast.Inspect(arg, func(an ast.Node) bool {
+				if id, ok := an.(*ast.Ident); ok {
+					if obj := p.Info.Uses[id]; obj != nil {
+						sc.objs[obj] = true
+					}
+				}
+				return true
+			})
 		}
-		into = append(into, Source{Kind: SrcGlobalRand, Pos: sel.Pos(), Desc: "rand." + sel.Sel.Name})
+		out = append(out, sc)
 		return true
 	})
-	return into
+	return out
 }
 
-// mapOrderSources appends every map range in the function body that is not
-// collect-then-sorted. The caller decides whether map order matters for
-// the function (detmap restricts to deterministic packages; the taint
-// engine counts them everywhere outside det packages, where detmap already
-// enforces the contract directly).
-func mapOrderSources(p *Package, body *ast.BlockStmt, into []Source) []Source {
-	sorts := sortCalls(p, body)
-	ast.Inspect(body, func(nd ast.Node) bool {
-		rng, ok := nd.(*ast.RangeStmt)
-		if !ok {
-			return true
+// collectThenSorted reports whether the range body only appends to local
+// slices that are all sorted later in the same declaration — the one
+// idiom recognised as order-safe without annotation.
+func collectThenSorted(p *Package, rng *ast.RangeStmt, sorts []sortCall) bool {
+	targets := appendTargets(p, rng.Body.List)
+	if targets == nil {
+		return false
+	}
+	for obj := range targets {
+		sorted := false
+		for _, sc := range sorts {
+			if sc.pos > rng.End() && sc.objs[obj] {
+				sorted = true
+				break
+			}
 		}
-		tv, ok := p.Info.Types[rng.X]
-		if !ok || tv.Type == nil {
-			return true
+		if !sorted {
+			return false
 		}
-		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-			return true
+	}
+	return true
+}
+
+// appendTargets returns the objects appended to when every statement is of
+// the form `s = append(s, ...)`, optionally inside if statements (filtered
+// collection), `continue` branches, or nested range loops; nil when the
+// body does anything else. Nested ranges are safe here because whatever
+// order the appends happen in, the sort requirement on every target
+// restores a canonical order afterwards.
+func appendTargets(p *Package, stmts []ast.Stmt) map[types.Object]bool {
+	targets := make(map[types.Object]bool)
+	var walk func(list []ast.Stmt) bool
+	walk = func(list []ast.Stmt) bool {
+		for _, st := range list {
+			switch s := st.(type) {
+			case *ast.BranchStmt:
+				if s.Tok != token.CONTINUE {
+					return false
+				}
+			case *ast.RangeStmt:
+				if !walk(s.Body.List) {
+					return false
+				}
+			case *ast.AssignStmt:
+				if len(s.Lhs) != 1 || len(s.Rhs) != 1 || s.Tok != token.ASSIGN {
+					return false
+				}
+				lhs, ok := s.Lhs[0].(*ast.Ident)
+				if !ok {
+					return false
+				}
+				call, ok := s.Rhs[0].(*ast.CallExpr)
+				if !ok {
+					return false
+				}
+				fn, ok := call.Fun.(*ast.Ident)
+				if !ok || fn.Name != "append" {
+					return false
+				}
+				if b, ok := p.Info.Uses[fn].(*types.Builtin); !ok || b.Name() != "append" {
+					return false
+				}
+				obj := p.Info.Uses[lhs]
+				if obj == nil {
+					obj = p.Info.Defs[lhs]
+				}
+				if obj == nil {
+					return false
+				}
+				targets[obj] = true
+			case *ast.IfStmt:
+				if s.Init != nil {
+					// An if with an init clause (`if _, ok := m[k]; ok`) is
+					// still pure filtering; allow it.
+					if _, ok := s.Init.(*ast.AssignStmt); !ok {
+						return false
+					}
+				}
+				if !walk(s.Body.List) {
+					return false
+				}
+				if s.Else != nil {
+					eb, ok := s.Else.(*ast.BlockStmt)
+					if !ok || !walk(eb.List) {
+						return false
+					}
+				}
+			default:
+				return false
+			}
 		}
-		if collectThenSorted(p, rng, sorts) {
-			return true
-		}
-		into = append(into, Source{Kind: SrcMapOrder, Pos: rng.For, Desc: "range over map " + types.ExprString(rng.X)})
 		return true
-	})
-	return into
+	}
+	if !walk(stmts) || len(targets) == 0 {
+		return nil
+	}
+	return targets
 }
 
 // BareError is one error value created inside a function body without

@@ -13,8 +13,8 @@ import (
 // must survive the format -> parse round trip unchanged.
 func FuzzAllowAnnotation(f *testing.F) {
 	for _, seed := range []string{
-		"//oarsmt:allow detmap(order-insensitive sum)",
-		"//oarsmt:allow nowallclock(timing only) trailing prose",
+		"//oarsmt:allow dettaint(order-insensitive sum)",
+		"//oarsmt:allow dettaint(timing only) trailing prose",
 		"//oarsmt:allow rawgo()",
 		"//oarsmt:allow rawgo(   )",
 		"//oarsmt:allow",

@@ -3,8 +3,8 @@
 // the codebase only states in prose: bit-identical routing results at any
 // worker count, cache-replay equality in internal/serve, and reproducible
 // MCTS-generated training labels. One unsorted map range or stray
-// time.Now() in a reward path silently breaks those guarantees; this
-// package makes the contract machine-checked.
+// time.Now() in a reward path silently breaks those guarantees; one
+// analyzer, dettaint, makes that contract machine-checked.
 //
 // The engine is built exclusively on the standard library (go/parser,
 // go/ast, go/types with the source importer) because the module has zero
@@ -12,12 +12,12 @@
 //
 // # Architecture
 //
-// Analyzers come in two shapes. Package-local analyzers (detmap, rawgo,
-// spanend, ...) check one package's AST at a time. Interprocedural
-// analyzers (dettaint, errwrap) run over a Program: a cross-package call
-// graph with per-function summaries — nondeterminism sources reached,
-// sentinel errors wrapped — propagated to a fixpoint, so a clock read two
-// package boundaries below a deterministic root is still found. See
+// Analyzers come in two shapes. Package-local analyzers (rawgo, spanend,
+// ...) check one package's AST at a time. Interprocedural analyzers
+// (dettaint, errwrap) run over a Program: a cross-package call graph with
+// per-function summaries — nondeterminism sources reached, sentinel errors
+// wrapped — propagated to a fixpoint, so a clock read two package
+// boundaries below a deterministic root is still found. See
 // DESIGN.md "Static analysis" for the analyzer catalogue, the summary
 // machinery, and the annotation grammar.
 //
@@ -92,9 +92,6 @@ func (a *Analyzer) Interprocedural() bool { return a.RunProgram != nil }
 // analyzers first, then the interprocedural ones.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		AnalyzerDetmap,
-		AnalyzerNoWallClock,
-		AnalyzerSeededRand,
 		AnalyzerRawGo,
 		AnalyzerFloatReduce,
 		AnalyzerCtxHygiene,
@@ -132,9 +129,9 @@ func (s *Stats) timed(name string, f func()) {
 		f()
 		return
 	}
-	start := time.Now() //oarsmt:allow nowallclock(analyzer self-timing for make lint -timing; measurement only, never analysis input)
+	start := time.Now() //oarsmt:allow dettaint(analyzer self-timing for make lint -timing; measurement only, never analysis input)
 	f()
-	s.ByAnalyzer[name] += time.Since(start) //oarsmt:allow nowallclock(analyzer self-timing for make lint -timing; measurement only, never analysis input)
+	s.ByAnalyzer[name] += time.Since(start) //oarsmt:allow dettaint(analyzer self-timing for make lint -timing; measurement only, never analysis input)
 }
 
 // Run executes the given analyzers over the packages, applies the
@@ -270,10 +267,9 @@ func suppress(anns []*annotation, d Diagnostic) bool {
 
 // detPackages are the import-path suffixes of the packages whose outputs
 // must be bit-reproducible: anything feeding tree construction,
-// serialization, training labels, or the serving cache key. detmap
-// enforces map-range hygiene per site inside them; dettaint picks up
-// where the list ends, following actual call paths out of the
-// deterministic roots into any package.
+// serialization, training labels, or the serving cache key. dettaint
+// enforces map-range hygiene per site inside them, and follows actual call
+// paths out of the deterministic roots into any package beyond them.
 var detPackages = []string{
 	"internal/geom",
 	"internal/grid",
@@ -290,12 +286,12 @@ var detPackages = []string{
 	"internal/store",
 }
 
-// isDeterministicFile reports whether detmap applies to the file: every
-// file of a deterministic package, plus the canonical-hash half of
-// internal/serve (serve/hash.go feeds the cache key, so its iteration
-// order is part of the serving contract even though the rest of serve is
-// free to use maps for bookkeeping). Corpus packages under testdata are
-// always in scope so the golden tests exercise the analyzer.
+// isDeterministicFile reports whether the per-site map-order rule applies
+// to the file: every file of a deterministic package, plus the
+// canonical-hash half of internal/serve (serve/hash.go feeds the cache
+// key, so its iteration order is part of the serving contract even though
+// the rest of serve is free to use maps for bookkeeping). Corpus packages
+// under testdata are always in scope so the golden tests exercise the rule.
 func isDeterministicFile(p *Package, filename string) bool {
 	if strings.HasPrefix(p.Path, "testdata/") {
 		return true

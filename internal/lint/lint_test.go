@@ -9,8 +9,9 @@ import (
 )
 
 // corpusCases maps each golden corpus to the analyzers run over it. The
-// annotations corpus uses detmap as its carrier analyzer because the
-// //oarsmt:allow machinery itself is analyzer-agnostic. Single-dir
+// detmap, nowallclock and seededrand corpora pin dettaint's three per-site
+// rules. The annotations corpus uses dettaint as its carrier analyzer
+// because the //oarsmt:allow machinery itself is analyzer-agnostic. Single-dir
 // corpora load under the synthetic "testdata/<name>" import path;
 // multi-dir corpora (the interprocedural analyzers need a cross-package
 // call graph) load under their real module import paths so the corpus
@@ -20,14 +21,14 @@ var corpusCases = []struct {
 	dirs      []string // corpus dirs under testdata/src; first is primary
 	analyzers []string
 }{
-	{"detmap", []string{"detmap"}, []string{"detmap"}},
-	{"nowallclock", []string{"nowallclock"}, []string{"nowallclock"}},
-	{"seededrand", []string{"seededrand"}, []string{"seededrand"}},
+	{"detmap", []string{"detmap"}, []string{"dettaint"}},
+	{"nowallclock", []string{"nowallclock"}, []string{"dettaint"}},
+	{"seededrand", []string{"seededrand"}, []string{"dettaint"}},
 	{"rawgo", []string{"rawgo"}, []string{"rawgo"}},
 	{"floatreduce", []string{"floatreduce"}, []string{"floatreduce"}},
 	{"ctxhygiene", []string{"ctxhygiene"}, []string{"ctxhygiene"}},
 	{"obsnames", []string{"obsnames"}, []string{"obsnames"}},
-	{"annotations", []string{"annotations"}, []string{"detmap"}},
+	{"annotations", []string{"annotations"}, []string{"dettaint"}},
 	{"goroleak", []string{"goroleak"}, []string{"goroleak"}},
 	{"spanend", []string{"spanend"}, []string{"spanend"}},
 	{"dettaint", []string{"dettaint", "dettaintdep"}, []string{"dettaint"}},
@@ -150,8 +151,8 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 }
 
-// TestCorpusPositions pins the exact positions of one seeded violation per
-// analyzer, so a regression that reports the right message at the wrong
+// TestCorpusPositions pins the exact positions of the seeded violations of
+// every corpus, so a regression that reports the right message at the wrong
 // place cannot slip through the regexp matching above.
 func TestCorpusPositions(t *testing.T) {
 	loader, err := NewLoader(".")
@@ -163,13 +164,14 @@ func TestCorpusPositions(t *testing.T) {
 			continue
 		}
 		pkgs := loadCorpus(t, loader, tc.dirs)
-		diags := Run(pkgs, []*Analyzer{ByName(tc.name)}, nil)
+		a := ByName(tc.analyzers[0])
+		diags := Run(pkgs, []*Analyzer{a}, nil)
 		if len(diags) == 0 {
 			t.Errorf("%s: corpus produced no diagnostics", tc.name)
 			continue
 		}
 		for _, d := range diags {
-			if d.Analyzer != tc.name {
+			if d.Analyzer != a.Name {
 				t.Errorf("%s: diagnostic from wrong analyzer: %s", tc.name, d)
 			}
 			inCorpus := false
@@ -242,8 +244,8 @@ func TestLoaderBuildConstraints(t *testing.T) {
 // analyzer resolves by its documented name and the suite order is stable.
 func TestAnalyzerNames(t *testing.T) {
 	want := []string{
-		"detmap", "nowallclock", "seededrand", "rawgo", "floatreduce",
-		"ctxhygiene", "obsnames", "goroleak", "spanend", "dettaint", "errwrap",
+		"rawgo", "floatreduce", "ctxhygiene", "obsnames",
+		"goroleak", "spanend", "dettaint", "errwrap",
 	}
 	got := Analyzers()
 	if len(got) != len(want) {
@@ -268,12 +270,48 @@ func TestAnalyzerNames(t *testing.T) {
 // TestDiagnosticString pins the file:line:col rendering the Makefile and
 // editors rely on.
 func TestDiagnosticString(t *testing.T) {
-	d := Diagnostic{Analyzer: "detmap", Message: "boom"}
+	d := Diagnostic{Analyzer: "dettaint", Message: "boom"}
 	d.Pos.Filename = "x.go"
 	d.Pos.Line = 3
 	d.Pos.Column = 7
-	if got, want := d.String(), "x.go:3:7: [detmap] boom"; got != want {
+	if got, want := d.String(), "x.go:3:7: [dettaint] boom"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestAllowGoesStale pins when a dettaint annotation counts as used: its
+// source would be a finding without it. A clock read in package main is
+// one only where a deterministic root reaches it, so the same annotation
+// is used under a root and stale elsewhere.
+func TestAllowGoesStale(t *testing.T) {
+	dir := t.TempDir()
+	src := `package main
+
+import "time"
+
+//oarsmt:detroot
+func Root() int64 {
+	return time.Now().UnixNano() //oarsmt:allow dettaint(reviewed)
+}
+
+func unreached() int64 {
+	return time.Now().UnixNano() //oarsmt:allow dettaint(reviewed)
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "scratch.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadCorpus(dir, "scratch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := Run([]*Package{pkg}, []*Analyzer{AnalyzerDettaint}, nil)
+	if len(diags) != 1 || diags[0].Analyzer != "allow" || diags[0].Pos.Line != 11 {
+		t.Fatalf("got %v, want one unused-annotation finding at line 11", diags)
 	}
 }
 
@@ -283,7 +321,7 @@ func TestAnnotationGrammar(t *testing.T) {
 	dir := t.TempDir()
 	src := `package scratch
 
-//oarsmt:allow detmap(good reason)
+//oarsmt:allow dettaint(good reason)
 var a int
 
 //oarsmt:allow rawgo(another fine reason) trailing prose is ignored
@@ -307,7 +345,7 @@ var b int
 	if len(anns) != 2 {
 		t.Fatalf("got %d annotations, want 2", len(anns))
 	}
-	if anns[0].analyzer != "detmap" || anns[0].reason != "good reason" {
+	if anns[0].analyzer != "dettaint" || anns[0].reason != "good reason" {
 		t.Errorf("first annotation parsed as %q(%q)", anns[0].analyzer, anns[0].reason)
 	}
 	if anns[1].analyzer != "rawgo" || anns[1].reason != "another fine reason" {

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // Summary is the per-function fact set the fixpoint engine propagates
@@ -10,12 +11,10 @@ import (
 // statically resolved callee reaches), computed by iterating to a
 // fixpoint so cycles and any call-graph shape converge.
 type Summary struct {
-	// Sources are the function's own unsanctioned nondeterminism sources:
-	// wall-clock reads, global math/rand calls, and (outside the
-	// deterministic packages, where detmap enforces the contract per
-	// site) map ranges whose order is not re-canonicalised by sorting.
-	// Sources carrying a reviewed //oarsmt:allow annotation for a
-	// sanctioning analyzer are excluded here.
+	// Sources are the function's own nondeterminism sources that no
+	// //oarsmt:allow dettaint annotation covers: wall-clock reads, global
+	// math/rand calls, and map ranges whose order is not re-canonicalised
+	// by sorting.
 	Sources []Source
 	// Reaches[kind] reports whether the function transitively reaches a
 	// source of that kind (including its own).
@@ -35,36 +34,39 @@ func (s *Summary) ReachesAny() bool {
 	return s.Reaches[SrcWallClock] || s.Reaches[SrcGlobalRand] || s.Reaches[SrcMapOrder]
 }
 
-// computeSummaries fills every FuncInfo.Summary: one AST pass for direct
-// facts, then a worklist-free round-robin fixpoint for reachability (the
-// graph is small — the whole module is a few hundred functions — so
+// computeSummaries fills every FuncInfo.Summary and prog.sources: one AST
+// pass over every top-level declaration for direct facts, then a
+// worklist-free round-robin fixpoint for reachability (the graph is small
+// — the whole module is a few hundred functions — so
 // iterate-until-stable beats maintaining SCC machinery).
 func computeSummaries(prog *Program) {
-	idxByPkg := make(map[*Package]*sourceIndex)
-	for _, p := range prog.Pkgs {
-		idxByPkg[p] = newSourceIndex(p)
-	}
 	for _, fi := range prog.order {
-		idx := idxByPkg[fi.Pkg]
-		sum := &Summary{}
-		var raw []Source
-		raw = wallClockSources(fi.Pkg, fi.Decl.Body, raw)
-		raw = globalRandSources(fi.Pkg, fi.Decl.Body, raw)
-		// Map-order sources inside the deterministic packages are detmap's
-		// jurisdiction (reported per site there); counting them here too
-		// would double-report every finding at each reachable root.
-		file := fi.Pkg.Fset.Position(fi.Decl.Pos()).Filename
-		if !isDeterministicFile(fi.Pkg, file) {
-			raw = mapOrderSources(fi.Pkg, fi.Decl.Body, raw)
-		}
-		for _, src := range raw {
-			if !idx.sanctioned(src.Pos) {
-				sum.Sources = append(sum.Sources, src)
-				sum.Reaches[src.Kind] = true
+		fi.Summary = &Summary{}
+		fi.Summary.Sanitizes, fi.Summary.Bares = errorFacts(fi.Pkg, fi.Decl)
+	}
+	for _, p := range prog.Pkgs {
+		allowed := allowedLines(p)
+		for _, f := range p.Files {
+			file := p.Fset.Position(f.Pos()).Filename
+			for _, decl := range f.Decls {
+				var fi *FuncInfo
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					fn, _ := p.Info.Defs[fd.Name].(*types.Func)
+					fi = prog.Funcs[fn]
+				}
+				for _, src := range declSources(p, decl) {
+					pos := p.Fset.Position(src.Pos)
+					src.allowed = allowed[lineKey{pos.Filename, pos.Line}]
+					src.local = siteRule(p, file, src.Kind)
+					src.fn = fi
+					prog.sources = append(prog.sources, src)
+					if fi != nil && !src.allowed {
+						fi.Summary.Sources = append(fi.Summary.Sources, src)
+						fi.Summary.Reaches[src.Kind] = true
+					}
+				}
 			}
 		}
-		sum.Sanitizes, sum.Bares = errorFacts(fi.Pkg, fi.Decl)
-		fi.Summary = sum
 	}
 	// Fixpoint: propagate reachability up the call graph until stable.
 	for changed := true; changed; {
@@ -84,6 +86,27 @@ func computeSummaries(prog *Program) {
 			}
 		}
 	}
+}
+
+// lineKey is one line of one file.
+type lineKey struct {
+	file string
+	line int
+}
+
+// allowedLines returns the lines covered by an //oarsmt:allow dettaint
+// annotation in the package: the annotation's own line and the line
+// below it, matching the suppression rule in lint.go.
+func allowedLines(p *Package) map[lineKey]bool {
+	lines := make(map[lineKey]bool)
+	anns, _ := collectAnnotations(p)
+	for _, an := range anns {
+		if an.analyzer == AnalyzerDettaint.Name {
+			lines[lineKey{an.pos.Filename, an.pos.Line}] = true
+			lines[lineKey{an.pos.Filename, an.pos.Line + 1}] = true
+		}
+	}
+	return lines
 }
 
 // docContains reports whether the function's doc comment contains the

@@ -16,10 +16,10 @@ func clean(m map[int]int) []int {
 	return ks
 }
 
-//oarsmt:allow detmap missing parentheses // want "malformed annotation"
+//oarsmt:allow dettaint missing parentheses // want "malformed annotation"
 
 //oarsmt:allow nosuchanalyzer(reason here) // want "unknown analyzer"
 
-//oarsmt:allow detmap() // want "empty reason"
+//oarsmt:allow dettaint() // want "empty reason"
 
-//oarsmt:allow detmap(this line suppresses nothing at all) // want "unused //oarsmt:allow detmap annotation"
+//oarsmt:allow dettaint(this line suppresses nothing at all) // want "unused //oarsmt:allow dettaint annotation"

@@ -1,8 +1,8 @@
-// Package detmap is the golden corpus for the detmap analyzer: map ranges
-// whose iteration order can leak into results must be flagged, the
-// collect-then-sort idiom and annotated order-insensitive reductions must
-// not. Each // want comment is a regexp the harness matches against the
-// diagnostic reported on that line.
+// Package detmap is the golden corpus for dettaint's per-site map-order
+// rule: map ranges whose iteration order can leak into results must be
+// flagged, the collect-then-sort idiom and annotated order-insensitive
+// reductions must not. Each // want comment is a regexp the harness
+// matches against the diagnostic reported on that line.
 package detmap
 
 import (
@@ -61,7 +61,7 @@ func floatSum(m map[string]float64) float64 {
 // the analyzer demands for such proofs.
 func minScan(m map[int]bool) int {
 	best := -1
-	//oarsmt:allow detmap(pure min-scan; the result is the same for every visit order)
+	//oarsmt:allow dettaint(pure min-scan; the result is the same for every visit order)
 	for k := range m {
 		if best < 0 || k < best {
 			best = k
@@ -74,7 +74,7 @@ func minScan(m map[int]bool) int {
 // annotation on the offending line itself.
 func trailingAllow(m map[int]int) int {
 	n := 0
-	for range m { //oarsmt:allow detmap(pure cardinality count; order-insensitive)
+	for range m { //oarsmt:allow dettaint(pure cardinality count; order-insensitive)
 		n++
 	}
 	return n

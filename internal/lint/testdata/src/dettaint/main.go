@@ -1,7 +1,8 @@
-// Golden corpus for the dettaint analyzer: deterministic roots are
+// Golden corpus for dettaint's taint walk: deterministic roots are
 // declared with the //oarsmt:detroot marker; sources are direct, one
-// package away (dettaintdep), sanctioned by a legacy allow annotation, or
-// suppressed by a dettaint-specific one.
+// package away (dettaintdep), or excused by an //oarsmt:allow dettaint
+// annotation. This package is outside the deterministic packages, so only
+// the clock and rand rules apply per site here, not the map-order rule.
 package dettaint
 
 import (
@@ -34,17 +35,31 @@ func NotRoot() int64 { return dep.Stamp() }
 //oarsmt:detroot
 func CleanRoot(x int) int { return dep.Pure(x) }
 
-// SanctionedRoot's clock read carries a reviewed legacy annotation, which
-// sanctions the source for the taint engine too.
+// AllowedRangeRoot's map range matches no per-site rule here, so only the
+// root reaches it: the annotation excuses a finding and counts as used.
 //
 //oarsmt:detroot
-func SanctionedRoot() int64 {
-	return time.Now().UnixNano() //oarsmt:allow nowallclock(corpus: reviewed timing exception)
+func AllowedRangeRoot(xs map[int]int) int {
+	t := 0
+	//oarsmt:allow dettaint(corpus: an order-insensitive sum of ints)
+	for k := range xs {
+		t += k
+	}
+	return t
 }
 
-// SuppressedRoot's source is excused with a dettaint-specific annotation.
+// SuppressedRoot's source is excused with a dettaint annotation.
 //
 //oarsmt:detroot
 func SuppressedRoot() int {
 	return rand.Int() //oarsmt:allow dettaint(corpus: reviewed randomness)
+}
+
+// BothRoot's clock read also matches the per-site clock rule (this
+// package is neither main nor a timing package): it is one finding, the
+// taint one.
+//
+//oarsmt:detroot
+func BothRoot() int64 {
+	return time.Now().UnixNano() // want "wall-clock read .time.Now. reaches deterministic root dettaint.BothRoot via dettaint.BothRoot;"
 }

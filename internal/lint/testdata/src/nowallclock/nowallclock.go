@@ -1,6 +1,7 @@
-// Package nowallclock is the golden corpus for the nowallclock analyzer:
-// wall-clock reads in deterministic library code must be flagged;
-// annotated timing metadata and non-clock uses of package time must not.
+// Package nowallclock is the golden corpus for dettaint's per-site clock
+// rule: wall-clock reads in deterministic library code must be flagged,
+// package-level initializers included; annotated timing metadata and
+// non-clock uses of package time must not.
 package nowallclock
 
 import "time"
@@ -21,8 +22,13 @@ func epoch() time.Time {
 }
 
 func annotated() time.Time {
-	//oarsmt:allow nowallclock(corpus: demonstrates an annotated exemption)
+	//oarsmt:allow dettaint(corpus: demonstrates an annotated exemption)
 	return time.Now()
 }
 
 func work() {}
+
+// Package-level initializers are scanned like function bodies.
+var bootTime = time.Now() // want "time.Now outside timing code"
+
+var stamp = func() int64 { return time.Now().UnixNano() } // want "time.Now outside timing code"

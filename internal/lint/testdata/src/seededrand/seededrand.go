@@ -1,6 +1,7 @@
-// Package seededrand is the golden corpus for the seededrand analyzer:
-// math/rand top-level functions draw from the shared global source and
-// must be flagged; explicit seeded instances and type references must not.
+// Package seededrand is the golden corpus for dettaint's per-site global
+// rand rule: math/rand top-level functions draw from the shared global
+// source and must be flagged; explicit seeded instances and type
+// references must not.
 package seededrand
 
 import "math/rand"

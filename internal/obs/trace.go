@@ -31,7 +31,7 @@ type SpanData struct {
 // (conventionally the binary or operation name, e.g. "oarsmt_route.main").
 func NewTrace(name string) *Trace {
 	mustValid(name)
-	t := &Trace{epoch: time.Now()} //oarsmt:allow nowallclock(trace epoch; obs owns all wall-clock reads)
+	t := &Trace{epoch: time.Now()} //oarsmt:allow dettaint(trace epoch; obs owns all wall-clock reads)
 	t.root = &SpanData{Name: name}
 	return t
 }
@@ -62,7 +62,7 @@ func (t *Trace) end(s *SpanData, dur time.Duration) {
 func (t *Trace) WriteJSON(w io.Writer) error {
 	t.mu.Lock()
 	if t.root.DurationNS == 0 {
-		t.root.DurationNS = time.Since(t.epoch).Nanoseconds() //oarsmt:allow nowallclock(trace serialisation; obs owns all wall-clock reads)
+		t.root.DurationNS = time.Since(t.epoch).Nanoseconds() //oarsmt:allow dettaint(trace serialisation; obs owns all wall-clock reads)
 	}
 	buf, err := json.MarshalIndent(t.root, "", "  ")
 	t.mu.Unlock()
@@ -99,10 +99,10 @@ func Span(ctx context.Context, name string) (context.Context, func()) {
 	if parent == nil {
 		parent = t.root
 	}
-	start := time.Now() //oarsmt:allow nowallclock(span timing; obs owns all wall-clock reads)
+	start := time.Now() //oarsmt:allow dettaint(span timing; obs owns all wall-clock reads)
 	s := t.attach(parent, name, start)
 	return context.WithValue(ctx, spanKey, s), func() {
-		t.end(s, time.Since(start)) //oarsmt:allow nowallclock(span timing; obs owns all wall-clock reads)
+		t.end(s, time.Since(start)) //oarsmt:allow dettaint(span timing; obs owns all wall-clock reads)
 	}
 }
 
@@ -120,7 +120,7 @@ func ObserveSpan(ctx context.Context, name string, d time.Duration) {
 	if parent == nil {
 		parent = t.root
 	}
-	s := t.attach(parent, name, time.Now().Add(-d)) //oarsmt:allow nowallclock(span timing; obs owns all wall-clock reads)
+	s := t.attach(parent, name, time.Now().Add(-d)) //oarsmt:allow dettaint(span timing; obs owns all wall-clock reads)
 	t.end(s, d)
 }
 
@@ -131,12 +131,12 @@ type Timer struct{ start time.Time }
 
 // StartTimer starts a timer.
 func StartTimer() Timer {
-	return Timer{start: time.Now()} //oarsmt:allow nowallclock(timer; obs owns all wall-clock reads)
+	return Timer{start: time.Now()} //oarsmt:allow dettaint(timer; obs owns all wall-clock reads)
 }
 
 // Elapsed returns the time since the timer started.
 func (t Timer) Elapsed() time.Duration {
-	return time.Since(t.start) //oarsmt:allow nowallclock(timer; obs owns all wall-clock reads)
+	return time.Since(t.start) //oarsmt:allow dettaint(timer; obs owns all wall-clock reads)
 }
 
 // Stopwatch accumulates named laps across a loop body, aggregating the
@@ -160,7 +160,7 @@ type Stopwatch struct {
 // NewStopwatch returns a running stopwatch.
 func NewStopwatch() *Stopwatch {
 	return &Stopwatch{
-		last:  time.Now(), //oarsmt:allow nowallclock(stopwatch; obs owns all wall-clock reads)
+		last:  time.Now(), //oarsmt:allow dettaint(stopwatch; obs owns all wall-clock reads)
 		total: make(map[string]time.Duration),
 	}
 }
@@ -172,7 +172,7 @@ func (sw *Stopwatch) Reset() {
 	if sw == nil {
 		return
 	}
-	sw.last = time.Now() //oarsmt:allow nowallclock(stopwatch; obs owns all wall-clock reads)
+	sw.last = time.Now() //oarsmt:allow dettaint(stopwatch; obs owns all wall-clock reads)
 }
 
 // Lap attributes the time since the previous lap (or Reset) to name and
@@ -181,7 +181,7 @@ func (sw *Stopwatch) Lap(name string) {
 	if sw == nil {
 		return
 	}
-	now := time.Now() //oarsmt:allow nowallclock(stopwatch; obs owns all wall-clock reads)
+	now := time.Now() //oarsmt:allow dettaint(stopwatch; obs owns all wall-clock reads)
 	if _, ok := sw.total[name]; !ok {
 		sw.order = append(sw.order, name)
 	}

@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"time"
 
+	"oarsmt/internal/errs"
 	"oarsmt/internal/layout"
 	"oarsmt/internal/obs"
 	"oarsmt/wire"
@@ -51,7 +53,7 @@ func (s *Service) handleRouteV1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.TimeoutMillis < 0 {
-		wire.WriteErrorStatus(w, http.StatusBadRequest, "invalid_layout", "timeoutMillis: want >= 0")
+		wire.WriteError(w, fmt.Errorf("%w: timeoutMillis: want >= 0", errs.ErrInvalidLayout))
 		return
 	}
 	ctx := r.Context()

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -11,6 +13,7 @@ import (
 
 	"oarsmt/client"
 	"oarsmt/internal/errs"
+	"oarsmt/wire"
 )
 
 // smallLayoutJSON is a 3x3x2 grid-form layout with two pins, tiny enough
@@ -77,6 +80,29 @@ func TestHTTPRouteRejectsMalformed(t *testing.T) {
 				t.Errorf("err = %v, want ErrInvalidLayout", err)
 			}
 		})
+	}
+}
+
+// TestHTTPNegativeTimeout400: a negative timeoutMillis answers 400
+// invalid_layout, the code the sentinel table gives ErrInvalidLayout, and
+// the client sees that sentinel.
+func TestHTTPNegativeTimeout400(t *testing.T) {
+	s, cl := newTestServer(t, Config{})
+	body, err := json.Marshal(wire.RouteRequest{Layout: json.RawMessage(smallLayoutJSON), TimeoutMillis: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, wire.PathRoute, strings.NewReader(string(body)))
+	wire.SetProto(req.Header)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	var e wire.Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest || e.Code != "invalid_layout" {
+		t.Errorf("timeoutMillis -1: status %d, body %q; want 400 invalid_layout", rec.Code, rec.Body)
+	}
+	_, err = cl.RouteJSON(context.Background(), []byte(smallLayoutJSON), &client.RouteOptions{Timeout: -time.Second})
+	if !errors.Is(err, errs.ErrInvalidLayout) {
+		t.Errorf("client with a negative timeout: err = %v, want ErrInvalidLayout", err)
 	}
 }
 

@@ -34,7 +34,7 @@ func BenchmarkStoreSegmentWrite(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := writeSegmentFile(dir, i, payload); err != nil {
+		if _, err := segments.Write(dir, i, payload); err != nil {
 			b.Fatal(err)
 		}
 	}

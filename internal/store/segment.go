@@ -5,12 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
-	"sort"
 
 	"oarsmt/internal/ckpt"
-	"oarsmt/internal/fault"
 	"oarsmt/internal/grid"
 )
 
@@ -267,128 +263,8 @@ func decodeRecord(d *segReader) (*Record, error) {
 	return r, nil
 }
 
-// segName returns the file name of segment sequence number seq.
-func segName(seq int) string { return fmt.Sprintf("seg-%08d.seg", seq) }
-
-// segEntry names one segment file of a directory.
-type segEntry struct {
-	seq  int
-	path string
-}
-
-// listSegments returns the segments of dir by ascending sequence number,
-// ignoring anything not matching the seg-NNNNNNNN.seg pattern (including
-// leftover *.tmp files from a crashed write). A missing directory lists
-// empty.
-func listSegments(dir string) ([]segEntry, error) {
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var out []segEntry
-	for _, de := range des {
-		if de.IsDir() {
-			continue
-		}
-		var seq int
-		if n, err := fmt.Sscanf(de.Name(), "seg-%d.seg", &seq); n != 1 || err != nil {
-			continue
-		}
-		if de.Name() != segName(seq) {
-			continue
-		}
-		out = append(out, segEntry{seq: seq, path: filepath.Join(dir, de.Name())})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out, nil
-}
-
-// writeSegmentFile atomically lands the payload as segment seq in dir,
-// reusing the internal/ckpt frame and write discipline: ckpt framing
-// (magic+version+length+SHA-256 trailer) into a temp file, fsync, close,
-// rename onto the final name, directory fsync. A crash at any instruction
-// leaves at worst a stale *.tmp that listSegments ignores.
-//
-// Fault point `store.write`: Error aborts before the rename (a clean
-// crash), Partial renames a frame truncated mid-payload onto the final
-// name (a torn write) so recovery paths can be exercised deterministically.
-func writeSegmentFile(dir string, seq int, payload []byte) (string, error) {
-	final := filepath.Join(dir, segName(seq))
-	tmp := final + ".tmp"
-
-	frame := make([]byte, 0, len(payload)+64)
-	w := (*sliceWriter)(&frame)
-	if err := ckpt.Encode(w, payload); err != nil {
-		return "", err
-	}
-	data := frame
-	torn := false
-	if v := fault.Check("store.write"); v.Mode != fault.Off {
-		switch v.Mode {
-		case fault.Partial:
-			data = data[:len(data)/2]
-			torn = true
-		default:
-			return "", fmt.Errorf("store: write %s: %w", final, v.Err)
-		}
-	}
-
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return "", err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	syncDir(dir)
-	if torn {
-		return "", fmt.Errorf("%w: store: write %s: injected torn write", fault.ErrInjected, final)
-	}
-	return final, nil
-}
-
-// sliceWriter appends to the underlying slice; io.Writer over a
-// preallocated buffer without bytes.Buffer's extra copy.
-type sliceWriter []byte
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	*w = append(*w, p...)
-	return len(p), nil
-}
-
-// readSegmentFile loads and ckpt-validates one segment file's payload.
-func readSegmentFile(path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ckpt.Decode(f)
-}
-
-// syncDir fsyncs the directory so a rename is durable; best effort, since
-// not every filesystem supports directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
+// segments is the store's file series: ckpt frames named
+// seg-NNNNNNNN.seg, landed by ckpt's atomic write under the `store.write`
+// fault point. A crash at any instruction leaves at worst a stale *.tmp
+// that listing ignores.
+var segments = ckpt.Series{Format: "seg-%08d.seg", Fault: "store.write"}

@@ -186,7 +186,7 @@ func TestStoreFingerprintInvalidation(t *testing.T) {
 		t.Error("stale record served after fingerprint change")
 	}
 	// The stale segments were compacted away on open.
-	segs, err := listSegments(dir)
+	segs, err := segments.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestStoreTornWriteSkipsSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segs, err := listSegments(dir)
+	segs, err := segments.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +221,11 @@ func TestStoreTornWriteSkipsSegment(t *testing.T) {
 		t.Fatalf("have %d segments, want 2", len(segs))
 	}
 	// Tear the newest segment mid-frame.
-	info, err := os.Stat(segs[1].path)
+	info, err := os.Stat(segs[1].Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(segs[1].path, info.Size()/2); err != nil {
+	if err := os.Truncate(segs[1].Path, info.Size()/2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -300,7 +300,7 @@ func TestStoreCompactionMergesAndBoundsDisk(t *testing.T) {
 	if s.Segments() != 1 {
 		t.Fatalf("after compaction: %d segments, want 1", s.Segments())
 	}
-	segs, err := listSegments(dir)
+	segs, err := segments.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,11 +433,11 @@ func TestStoreSegmentBytesDeterministic(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		segs, err := listSegments(dir)
+		segs, err := segments.List(dir)
 		if err != nil || len(segs) != 1 {
 			t.Fatalf("segments: %v, err %v", segs, err)
 		}
-		b, err := os.ReadFile(segs[0].path)
+		b, err := os.ReadFile(segs[0].Path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,14 +86,7 @@ func WriteError(w http.ResponseWriter, err error) {
 	if e.retryAfter {
 		w.Header().Set("Retry-After", "1")
 	}
-	WriteErrorStatus(w, e.status, e.code, err.Error())
-}
-
-// WriteErrorStatus writes an explicit status/code/message error body; the
-// handler-level helper for conditions that are not sentinel-backed (bad
-// query parameters, oversized bodies).
-func WriteErrorStatus(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, Error{Code: code, Message: msg})
+	writeJSON(w, e.status, Error{Code: e.code, Message: err.Error()})
 }
 
 // AsError reconstructs the client-side error for a non-2xx response: a
