@@ -63,7 +63,7 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		jsonOut = fs.Bool("json", false, "emit findings as a stable JSON array on stdout (see package doc for the schema)")
 		enable  = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
 		disable = fs.String("disable", "", "comma-separated analyzers to skip")
-		timing  = fs.Bool("timing", false, "report per-analyzer wall time on stderr")
+		timing  = fs.Bool("timing", false, "report wall time per analyzer, package loading and program building on stderr")
 		list    = fs.Bool("list", false, "list available analyzers and exit")
 	)
 	fs.Usage = func() {
@@ -107,14 +107,14 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	pkgs, err := loader.Load(patterns...)
-	if err != nil {
-		return fail(err)
-	}
-
 	var stats *lint.Stats
 	if *timing {
 		stats = lint.NewStats()
+	}
+	var pkgs []*lint.Package
+	stats.Time("(load)", func() { pkgs, err = loader.Load(patterns...) })
+	if err != nil {
+		return fail(err)
 	}
 	diags := lint.Run(pkgs, analyzers, stats)
 	if *timing {
@@ -163,21 +163,22 @@ func writeJSON(w io.Writer, moduleRoot string, diags []lint.Diagnostic) error {
 	return enc.Encode(out)
 }
 
-// printTiming reports per-analyzer wall time, slowest first.
+// printTiming reports wall time per analyzer and per step ("(load)",
+// "(program)"), slowest first.
 func printTiming(w io.Writer, stats *lint.Stats) {
 	var names []string
-	for name := range stats.ByAnalyzer {
+	for name := range stats.ByStep {
 		names = append(names, name)
 	}
 	sort.Slice(names, func(i, j int) bool {
-		if stats.ByAnalyzer[names[i]] != stats.ByAnalyzer[names[j]] {
-			return stats.ByAnalyzer[names[i]] > stats.ByAnalyzer[names[j]]
+		if stats.ByStep[names[i]] != stats.ByStep[names[j]] {
+			return stats.ByStep[names[i]] > stats.ByStep[names[j]]
 		}
 		return names[i] < names[j]
 	})
 	fmt.Fprintln(w, "oarsmt-lint timing:")
 	for _, name := range names {
-		fmt.Fprintf(w, "  %-12s %v\n", name, stats.ByAnalyzer[name].Round(10*time.Microsecond))
+		fmt.Fprintf(w, "  %-12s %v\n", name, stats.ByStep[name].Round(10*time.Microsecond))
 	}
 }
 

@@ -93,4 +93,13 @@ func TestExitCodes(t *testing.T) {
 	if code, out, _ := runLint(t, clean, "-list"); code != 0 || strings.Count(out, "\n") != 8 {
 		t.Errorf("-list: exit %d, stdout %q; want 0 and 8 analyzers", code, out)
 	}
+
+	// -timing accounts for the whole run: loading and type-checking,
+	// building the program, and every analyzer.
+	code, _, errOut = runLint(t, clean, "-timing")
+	for _, step := range []string{"(load)", "(program)", "dettaint", "errwrap"} {
+		if code != 0 || !strings.Contains(errOut, "  "+step+" ") {
+			t.Errorf("-timing: exit %d, stderr %q; want 0 and a %s line", code, errOut, step)
+		}
+	}
 }

@@ -1,12 +1,12 @@
 // oarsmt-serve is the routing daemon: an HTTP front end speaking the
-// versioned wire protocol over the embeddable batch-inference service
-// of internal/serve — or, with -coordinator, the cluster coordinator
+// versioned wire protocol over the embeddable routing service of
+// internal/serve — or, with -coordinator, the cluster coordinator
 // that shards requests across a fleet of such workers.
 //
 // Usage:
 //
 //	oarsmt-serve                          # single worker, embedded model, :8931
-//	oarsmt-serve -addr :9000 -model selector.gob -queue 128 -batch 16
+//	oarsmt-serve -addr :9000 -model selector.gob -queue 128 -cache 1024
 //	oarsmt-serve -coordinator -addr :8930 # cluster coordinator
 //	oarsmt-serve -addr :9001 -register http://127.0.0.1:8930 -worker-id w1
 //
@@ -54,16 +54,12 @@ func main() {
 		addr       = flag.String("addr", ":8931", "listen address")
 		coordMode  = flag.Bool("coordinator", false, "run the cluster coordinator instead of a worker")
 		modelPath  = flag.String("model", "", "trained selector model (default: embedded)")
-		queueSize  = flag.Int("queue", 64, "job queue capacity (overflow returns 429)")
-		maxBatch   = flag.Int("batch", 8, "max already-queued layouts one scheduler lane takes per pass")
-		cacheSize  = flag.Int("cache", 256, "routed-layout cache bound without -store-dir (negative disables)")
+		queueSize  = flag.Int("queue", 64, "misses that may wait for a route (overflow returns 429)")
+		cacheSize  = flag.Int("cache", 0, "routed-layout cache bound (0 = 256, or 4096 with -store-dir; negative disables, not with -store-dir)")
 		storeDir   = flag.String("store-dir", "", "make the cache persistent in this directory (restarts serve previously-routed layouts warm)")
-		storeMax   = flag.Int("store-entries", 4096, "routed-layout cache bound with -store-dir")
 		storeFlush = flag.Int("store-flush", 0, "routes per background store segment write (0 = store default)")
 		maxVolume  = flag.Int("max-volume", 1<<20, "max Hanan-graph vertices per layout")
 		timeout    = flag.Duration("timeout", 60*time.Second, "default per-request deadline (0 = none)")
-		seq        = flag.Bool("sequential", false, "sequential (n-2 inference) selection mode")
-		noGuard    = flag.Bool("no-guard", false, "disable guarded acceptance")
 		drainWait  = flag.Duration("drain", 30*time.Second, "max graceful-shutdown wait")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
@@ -80,7 +76,6 @@ func main() {
 		breakerN    = flag.Int("breaker-threshold", 5, "coordinator: consecutive failures tripping a worker's breaker (negative disables)")
 		breakerCool = flag.Duration("breaker-cooldown", 3*time.Second, "coordinator: open-breaker cooldown before the half-open probe")
 		replicate   = flag.Bool("replicate", false, "coordinator: install fresh routes on the key's next ring replica (warm failover)")
-		replicaQ    = flag.Int("replica-queue", 64, "coordinator: bounded replication queue capacity")
 	)
 	flag.Parse()
 
@@ -106,7 +101,6 @@ func main() {
 			BreakerThreshold: *breakerN,
 			BreakerCooldown:  *breakerCool,
 			Replicate:        *replicate,
-			ReplicaQueue:     *replicaQ,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -123,17 +117,13 @@ func main() {
 			log.Fatal(err)
 		}
 		svc, err := serve.NewService(serve.Config{
-			Selector:            sel,
-			QueueSize:           *queueSize,
-			MaxBatch:            *maxBatch,
-			CacheSize:           *cacheSize,
-			StoreDir:            *storeDir,
-			StoreMaxEntries:     *storeMax,
-			StoreFlushEvery:     *storeFlush,
-			MaxVolume:           *maxVolume,
-			DefaultTimeout:      *timeout,
-			NoGuard:             *noGuard,
-			SequentialInference: *seq,
+			Selector:        sel,
+			QueueSize:       *queueSize,
+			CacheSize:       *cacheSize,
+			StoreDir:        *storeDir,
+			StoreFlushEvery: *storeFlush,
+			MaxVolume:       *maxVolume,
+			DefaultTimeout:  *timeout,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -168,13 +158,10 @@ func main() {
 				}
 			}
 		}
-		cacheBound := *cacheSize
 		if *storeDir != "" {
-			cacheBound = *storeMax
-			log.Printf("route store: %s (max %d entries)", *storeDir, *storeMax)
+			log.Printf("route store: %s", *storeDir)
 		}
-		log.Printf("listening on %s (queue %d, batch %d, cache %d)",
-			ln.Addr(), *queueSize, *maxBatch, cacheBound)
+		log.Printf("listening on %s (queue %d)", ln.Addr(), *queueSize)
 	}
 
 	if *pprofOn {

@@ -22,6 +22,10 @@ import (
 // virtualNodes is the points-per-worker on the hash ring.
 const virtualNodes = 64
 
+// replicaQueue bounds the replication queue. A full queue drops (and
+// counts) instead of blocking the routing path.
+const replicaQueue = 64
+
 // Config configures a Coordinator. The zero value of every field is
 // usable; defaults favour small test clusters.
 type Config struct {
@@ -63,9 +67,6 @@ type Config struct {
 	// are asynchronously installed on the key's next distinct ring
 	// replica, so a dead worker's shard serves warm from its successor.
 	Replicate bool
-	// ReplicaQueue bounds the replication queue; default 64. A full
-	// queue drops (and counts) instead of blocking the routing path.
-	ReplicaQueue int
 
 	// now is the lease clock, injectable by tests.
 	now func() time.Time
@@ -94,9 +95,6 @@ func (c *Config) fill() {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 3 * time.Second
-	}
-	if c.ReplicaQueue <= 0 {
-		c.ReplicaQueue = 64
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -238,7 +236,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	if cfg.Replicate {
-		c.replq = make(chan replJob, cfg.ReplicaQueue)
+		c.replq = make(chan replJob, replicaQueue)
 		c.wg.Add(1)
 		go c.replicate()
 	}

@@ -207,21 +207,16 @@ func (r *Router) Route(ctx context.Context, in *layout.Instance, opts ...Option)
 	return rr.Construct(ctx, in, sps, inferences, t.Elapsed())
 }
 
-// Propose runs the selection phase alone: the selector's Steiner-point
+// TryPropose runs the selection phase alone: the selector's Steiner-point
 // proposal for the instance and the number of network inferences spent.
-// Splitting selection from construction lets a batch scheduler share one
-// selector across many layouts while fanning construction out in parallel;
-// Construct completes the route.
-func (r *Router) Propose(in *layout.Instance) ([]grid.VertexID, int) {
-	return r.propose(in)
-}
-
-// TryPropose is Propose with failure reporting: it honours the
-// `selector.infer` fault-injection point, so serving and routing layers
-// can exercise (and recover from) inference failures deterministically.
-// An Error-mode fault returns an error matching errs.ErrTransient; a
-// Panic-mode fault propagates, to be contained at the service boundary.
-// Callers degrade to ConstructPlain when TryPropose fails.
+// Splitting selection from construction lets the serving layer retry or
+// degrade a failed inference before Construct completes the route. It
+// honours the `selector.infer` fault-injection point, so serving and
+// routing layers can exercise (and recover from) inference failures
+// deterministically. An Error-mode fault returns an error matching
+// errs.ErrTransient; a Panic-mode fault propagates, to be contained at the
+// service boundary. Callers degrade to ConstructPlain when TryPropose
+// fails.
 func (r *Router) TryPropose(in *layout.Instance) ([]grid.VertexID, int, error) {
 	if fault.Enabled() {
 		if err := fault.Inject("selector.infer"); err != nil {

@@ -113,7 +113,10 @@ func TestGuardShortcutMatchesAlwaysGuard(t *testing.T) {
 		for j := range random {
 			random[j] = grid.VertexID(rng.Intn(in.Graph.NumVertices()))
 		}
-		model, _ := routers[0].Propose(in)
+		model, _, err := routers[0].TryPropose(in)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for k, sps := range [][]grid.VertexID{model, random} {
 			for _, r := range routers {
 				got, err := r.Construct(ctx, in, sps, 1, 0)

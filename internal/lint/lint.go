@@ -113,25 +113,28 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// Stats accumulates per-analyzer wall time across a run; pass nil to skip
-// timing entirely.
+// Stats accumulates wall time across a run, per analyzer and per step
+// around them: "(program)" is BuildProgram (the call graph and every
+// summary the interprocedural analyzers read), and a caller may add its
+// own, as oarsmt-lint does "(load)". Pass nil to skip timing entirely.
 type Stats struct {
-	ByAnalyzer map[string]time.Duration
+	ByStep map[string]time.Duration
 }
 
 // NewStats returns an empty timing collector.
-func NewStats() *Stats { return &Stats{ByAnalyzer: make(map[string]time.Duration)} }
+func NewStats() *Stats { return &Stats{ByStep: make(map[string]time.Duration)} }
 
-// timed runs f, attributing its wall time to name. Timing is measurement
-// of the linter itself, never an input to any analyzed result.
-func (s *Stats) timed(name string, f func()) {
+// Time runs f, attributing its wall time to name; on a nil Stats it only
+// runs f. Timing is measurement of the linter itself, never an input to
+// any analyzed result.
+func (s *Stats) Time(name string, f func()) {
 	if s == nil {
 		f()
 		return
 	}
 	start := time.Now() //oarsmt:allow dettaint(analyzer self-timing for make lint -timing; measurement only, never analysis input)
 	f()
-	s.ByAnalyzer[name] += time.Since(start) //oarsmt:allow dettaint(analyzer self-timing for make lint -timing; measurement only, never analysis input)
+	s.ByStep[name] += time.Since(start) //oarsmt:allow dettaint(analyzer self-timing for make lint -timing; measurement only, never analysis input)
 }
 
 // Run executes the given analyzers over the packages, applies the
@@ -140,8 +143,8 @@ func (s *Stats) timed(name string, f func()) {
 // interprocedural analyzers run over a Program built from exactly the
 // given packages, and their findings may land in any of them. Unused
 // annotations and annotation grammar errors are reported as findings of
-// the pseudo-analyzer "allow". Per-analyzer wall time goes to stats
-// unless it is nil.
+// the pseudo-analyzer "allow". Per-analyzer and BuildProgram wall time
+// go to stats unless it is nil.
 func Run(pkgs []*Package, analyzers []*Analyzer, stats *Stats) []Diagnostic {
 	var anns []*annotation
 	var diags []Diagnostic
@@ -153,7 +156,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer, stats *Stats) []Diagnostic {
 	var prog *Program
 	for _, a := range analyzers {
 		if a.Interprocedural() {
-			prog = BuildProgram(pkgs)
+			stats.Time("(program)", func() { prog = BuildProgram(pkgs) })
 			break
 		}
 	}
@@ -168,7 +171,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer, stats *Stats) []Diagnostic {
 				})
 			}
 		}
-		stats.timed(a.Name, func() {
+		stats.Time(a.Name, func() {
 			if a.Interprocedural() {
 				a.RunProgram(prog, report(prog.Fset()))
 				return

@@ -102,7 +102,7 @@ func BenchmarkStoreWarmDiskRoute(b *testing.B) {
 	}
 	cold.Close()
 
-	warm := benchService(b, Config{Selector: sel, StoreDir: dir, CacheSize: -1})
+	warm := benchService(b, Config{Selector: sel, StoreDir: dir})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resp, err := warm.Submit(ctx, in)

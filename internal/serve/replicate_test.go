@@ -248,7 +248,7 @@ func TestInstallDeclinesRepeatOnStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newTestService(t, Config{StoreDir: t.TempDir(), CacheSize: -1})
+	dst := newTestService(t, Config{StoreDir: t.TempDir()})
 	if installed, err := dst.Install(in, resp); err != nil || !installed {
 		t.Fatalf("first Install = (%v, %v), want (true, nil)", installed, err)
 	}

@@ -1,23 +1,22 @@
 // Package serve is the embeddable routing service of the repository: a
-// long-running front end that amortizes model load and batches inference
-// over the one-shot routing pipeline of internal/core.
+// long-running front end that amortizes model load over the one-shot
+// routing pipeline of internal/core.
 //
-// Requests enter a bounded job queue (backpressure: a full queue sheds
-// load with ErrQueueFull, which the HTTP layer maps to 429 + Retry-After).
-// GOMAXPROCS scheduler lanes drain the queue, each taking only what is
-// already queued, group the drained layouts by size — the same-size
-// grouping of internal/rl's Fig 9 training batches — and route every
-// distinct layout on the internal/parallel worker pool: one inference on
-// the shared selector (whose inference is goroutine-safe), then the OARMST
-// construction. Results are memoized in one cache tier, an
-// internal/store.Store keyed by the augmentation-normalized canonical
-// layout hash, so any of the 16 symmetric orientations of a layout hits the
-// same record. The store is memory-only by default; with Config.StoreDir it
+// Results are memoized in one cache tier, an internal/store.Store keyed by
+// the augmentation-normalized canonical layout hash, so any of the 16
+// symmetric orientations of a layout hits the same record. A hit is served
+// on the request's own goroutine. So is a miss: it is admitted against a
+// bound on waiting requests (backpressure: beyond it ErrQueueFull, which
+// the HTTP layer maps to 429 + Retry-After), waits for one of GOMAXPROCS
+// route slots, re-checks the cache (a concurrent miss of the same layout,
+// in any orientation, may have routed it meanwhile) and routes: one
+// inference on the shared selector (whose inference is goroutine-safe),
+// then the OARMST construction. The store is memory-only by default; with Config.StoreDir it
 // also persists to segment files, so a restarted daemon starts warm. Every
-// hit is replayed through a Validate path, so a collision or corrupt record
-// is a miss, never a wrong tree. Per-request deadlines travel as
-// context.Context through internal/core and internal/route, interrupting
-// even long Dijkstra expansions.
+// answer is replayed from a record through a Validate path, so a collision
+// or corrupt record is a miss, never a wrong tree. Per-request deadlines
+// travel as context.Context through internal/core and internal/route,
+// interrupting even long Dijkstra expansions.
 //
 // The package is stdlib-only and embeddable; cmd/oarsmt-serve wraps it in
 // an HTTP daemon.
@@ -29,6 +28,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"oarsmt/internal/core"
@@ -37,7 +37,6 @@ import (
 	"oarsmt/internal/grid"
 	"oarsmt/internal/layout"
 	"oarsmt/internal/obs"
-	"oarsmt/internal/parallel"
 	"oarsmt/internal/route"
 	"oarsmt/internal/selector"
 	"oarsmt/internal/store"
@@ -48,7 +47,7 @@ import (
 // identities from internal/errs (re-exported at the root and coded by
 // package wire), so errors.Is matches them across the HTTP boundary.
 var (
-	// ErrQueueFull is returned when the bounded job queue is at capacity;
+	// ErrQueueFull is returned when QueueSize misses already wait;
 	// clients should back off and retry (HTTP 429).
 	ErrQueueFull = errs.ErrQueueFull
 	// ErrClosed is returned once the service has begun draining.
@@ -60,18 +59,14 @@ var (
 // Config parameterises a Service.
 type Config struct {
 	// Selector is the trained Steiner-point selector shared by every
-	// request. Required. Every scheduler lane infers through this one
-	// selector concurrently, so it must not be trained while the service
-	// runs.
+	// request. Required. Every route slot infers through this one selector
+	// concurrently, so it must not be trained while the service runs.
 	Selector *selector.Selector
-	// QueueSize bounds the job queue; <= 0 means 64.
+	// QueueSize bounds the misses waiting for a route slot; <= 0 means 64.
 	QueueSize int
-	// MaxBatch caps how many already-queued jobs one lane pass drains;
-	// <= 0 means 8, 1 disables batching.
-	MaxBatch int
-	// CacheSize bounds the memory-only cache in routed layouts; 0 means
-	// 256, negative disables caching. Not read when StoreDir is set:
-	// StoreMaxEntries bounds the cache then.
+	// CacheSize bounds the cache in routed layouts (and, with StoreDir,
+	// after compaction, its disk use); 0 means 256, or 4096 with StoreDir.
+	// Negative disables caching, which StoreDir does not allow.
 	CacheSize int
 	// MaxVolume rejects layouts with more Hanan-graph vertices (guards
 	// both decode-time allocation and per-request CPU); <= 0 means 1<<20.
@@ -79,11 +74,6 @@ type Config struct {
 	// DefaultTimeout is applied to requests whose context has no
 	// deadline; <= 0 leaves them unbounded.
 	DefaultTimeout time.Duration
-	// NoGuard and SequentialInference configure the underlying
-	// core.Router, which otherwise keeps core.NewRouter's settings (one
-	// retrace pass, guarded, one-shot inference).
-	NoGuard             bool
-	SequentialInference bool
 	// StoreDir makes the cache persistent (internal/store): routed
 	// layouts are written through to checksummed segment files under this
 	// directory and reloaded on the next start, so a restarted daemon
@@ -92,19 +82,16 @@ type Config struct {
 	// starting with a retrained model invalidates every stored route.
 	// Empty keeps the cache in memory only.
 	StoreDir string
-	// StoreMaxEntries bounds the persistent cache's live records (and,
-	// after compaction, its disk use); <= 0 means 4096. Only read when
-	// StoreDir is set.
-	StoreMaxEntries int
 	// StoreFlushEvery is how many freshly routed layouts trigger a
 	// background segment write; <= 0 means the store's default (32). Lower
 	// it when routes must survive a crash quickly (the corrupt-store chaos
 	// scenario runs at 1); Close always lands the partial batch regardless.
 	StoreFlushEvery int
 
-	// gate, when non-nil, is waited on by every lane before each pass;
-	// test hook for deterministically holding the queue full. Tests only
-	// ever close it, which releases all lanes at once.
+	// gate, when non-nil, is waited on by every admitted miss before it
+	// takes a route slot; test hook for deterministically holding the
+	// queue full. Tests only ever close it, which releases every miss at
+	// once.
 	gate chan struct{}
 	// sleep is the retry backoff's clock, injectable so tests observe the
 	// schedule without wall-clock waits; nil means time.Sleep.
@@ -115,11 +102,11 @@ func (c Config) withDefaults() Config {
 	if c.QueueSize <= 0 {
 		c.QueueSize = 64
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 256
+		if c.StoreDir != "" {
+			c.CacheSize = 4096
+		}
 	}
 	if c.MaxVolume <= 0 {
 		c.MaxVolume = 1 << 20
@@ -151,63 +138,47 @@ type Coord3 = wire.Coord3
 // stay empty when a worker is addressed directly).
 type Response = wire.RouteResponse
 
-// job is one queued request.
-type job struct {
-	ctx      context.Context
-	in       *layout.Instance
-	key      store.Key
-	toCanon  grid.Aug
-	enqueued time.Time // Submit entry: the start of the request's latency
-	queued   time.Time // queue push: the start of its serve.queue_wait
-
-	resp *Response
-	err  error
-	done chan struct{}
-}
-
 // Service is the embeddable routing service. Create one with NewService
 // and shut it down with Close.
 type Service struct {
 	cfg    Config
 	router *core.Router
-	queue  chan *job
 	// store is the one cache tier, persistent when StoreDir is set; nil
-	// only when CacheSize < 0 and StoreDir is empty.
+	// only when CacheSize < 0.
 	store *store.Store
 
-	mu     sync.RWMutex // serializes enqueue against Close
-	closed bool
+	mu       sync.RWMutex // serializes admission against Close
+	closed   bool
+	admitted sync.WaitGroup // misses admitted and not yet answered
+	waiting  atomic.Int64   // admitted misses without a route slot (the queue)
+	slots    chan struct{}  // route slots: one token per running route
 
-	lanes sync.WaitGroup // the running scheduler lanes
 	start time.Time
 	m     *metrics
 }
 
-// NewService starts a service, and its GOMAXPROCS scheduler lanes, over
-// the configuration.
+// NewService starts a service over the configuration.
 func NewService(cfg Config) (*Service, error) {
 	if cfg.Selector == nil {
 		return nil, fmt.Errorf("%w: serve: Config.Selector is required", errs.ErrInvalidConfig)
 	}
-	cfg = cfg.withDefaults()
-	r := core.NewRouter(cfg.Selector)
-	r.GuardedAcceptance = !cfg.NoGuard
-	if cfg.SequentialInference {
-		r.Mode = core.Sequential
+	if cfg.CacheSize < 0 && cfg.StoreDir != "" {
+		return nil, fmt.Errorf("%w: serve: a negative CacheSize disables the cache StoreDir persists", errs.ErrInvalidConfig)
 	}
+	cfg = cfg.withDefaults()
+	lanes := runtime.GOMAXPROCS(0)
 	s := &Service{
 		cfg:    cfg,
-		router: r,
-		queue:  make(chan *job, cfg.QueueSize),
+		router: core.NewRouter(cfg.Selector),
+		slots:  make(chan struct{}, lanes),
 		start:  time.Now(),
 		m:      newMetrics(),
 	}
-	if cfg.StoreDir != "" || cfg.CacheSize > 0 {
+	if cfg.CacheSize > 0 {
 		opts := store.Options{MaxEntries: cfg.CacheSize, Registry: s.m.reg}
 		if cfg.StoreDir != "" {
 			opts.Dir = cfg.StoreDir
 			opts.Fingerprint = store.Fingerprint(cfg.Selector.Fingerprint())
-			opts.MaxEntries = cfg.StoreMaxEntries
 			opts.FlushEvery = cfg.StoreFlushEvery
 		}
 		st, err := store.Open(opts)
@@ -219,7 +190,7 @@ func NewService(cfg Config) (*Service, error) {
 	// Instantaneous state exports as on-demand gauges: evaluated at
 	// snapshot/scrape time, so they are never stale the way a periodically
 	// copied struct was.
-	s.m.reg.GaugeFunc("serve.queue_depth", func() float64 { return float64(len(s.queue)) })
+	s.m.reg.GaugeFunc("serve.queue_depth", func() float64 { return float64(s.waiting.Load()) })
 	s.m.reg.GaugeFunc("serve.queue_capacity", func() float64 { return float64(cfg.QueueSize) })
 	// serve.cache.size reads the store, whose store.entries is the same
 	// number.
@@ -230,15 +201,7 @@ func NewService(cfg Config) (*Service, error) {
 		return float64(s.store.Len())
 	})
 	s.m.reg.GaugeFunc("serve.uptime_seconds", func() float64 { return time.Since(s.start).Seconds() })
-	lanes := runtime.GOMAXPROCS(0)
 	s.m.reg.GaugeFunc("serve.lanes", func() float64 { return float64(lanes) })
-	s.lanes.Add(lanes)
-	for range lanes {
-		go func() {
-			defer s.lanes.Done()
-			s.run()
-		}()
-	}
 	return s, nil
 }
 
@@ -254,27 +217,25 @@ func (s *Service) Closed() bool {
 }
 
 // Close drains the service: new submissions are rejected with ErrClosed,
-// every already-queued job is still routed and answered, and Close
-// returns once every scheduler lane has exited. Safe to call more than
-// once.
+// every already-admitted miss is still routed and answered, and Close
+// returns once all of them are. Safe to call more than once.
 func (s *Service) Close() {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.queue)
-	}
+	s.closed = true
 	s.mu.Unlock()
-	s.lanes.Wait()
+	s.admitted.Wait()
 	if s.store != nil {
-		// The lanes have exited, so no Put can race the final flush;
-		// pending routes land in one last segment for the next start.
+		// Every admitted miss is answered, so no Put can race the final
+		// flush; pending routes land in one last segment for the next start.
 		s.store.Close()
 	}
 }
 
-// Submit routes one instance through the service: cache lookup, then the
-// batching queue. It blocks until the response is ready, the queue
-// rejects the job, or ctx is cancelled.
+// Submit routes one instance through the service: cache lookup, then, on
+// a miss, admission, a route slot and the route. It blocks until the
+// response is ready or admission refuses the request. A cancelled ctx
+// ends the wait for a slot at once and a running route's construction at
+// its next check, but not a selector inference already under way.
 func (s *Service) Submit(ctx context.Context, in *layout.Instance) (*Response, error) {
 	if in == nil || in.Graph == nil {
 		return nil, fmt.Errorf("%w: serve: nil instance", errs.ErrInvalidLayout)
@@ -299,39 +260,46 @@ func (s *Service) Submit(ctx context.Context, in *layout.Instance) (*Response, e
 	s.m.cacheMisses.Inc()
 
 	if fault.Enabled() {
-		// Injection point for enqueue-path failures: Error sheds the
-		// request as retryable (503 + Retry-After), Delay stalls admission
-		// to force queueing/timeout behaviour.
+		// Injection point for admission failures: Error sheds the request
+		// as retryable (503 + Retry-After), Delay stalls admission to force
+		// queueing/timeout behaviour.
 		if err := fault.Inject("serve.enqueue"); err != nil {
 			s.m.rejected.Inc()
 			return nil, fmt.Errorf("serve: enqueue: %w", err)
 		}
 	}
+	if err := s.admit(); err != nil {
+		return nil, err
+	}
+	defer s.admitted.Done()
+	resp, err := s.miss(ctx, in, key, toCanon, start)
+	// Deadline expiries surface as the module's ErrTimeout.
+	err = errs.Classify(err)
+	if err != nil {
+		s.m.failed.Inc()
+	} else {
+		s.m.completed.Inc()
+	}
+	s.m.latency.Observe(time.Since(start))
+	return resp, err
+}
 
-	j := &job{ctx: ctx, in: in, key: key, toCanon: toCanon, enqueued: start, queued: time.Now(), done: make(chan struct{})}
+// admit counts a miss into the waiting requests, or refuses it: ErrClosed
+// once draining, ErrQueueFull when QueueSize misses already wait.
+func (s *Service) admit() error {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
-		s.mu.RUnlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	select {
-	case s.queue <- j:
-		s.mu.RUnlock()
-	default:
-		s.mu.RUnlock()
+	if s.waiting.Add(1) > int64(s.cfg.QueueSize) {
+		s.waiting.Add(-1)
 		s.m.rejected.Inc()
-		return nil, ErrQueueFull
+		return ErrQueueFull
 	}
+	s.admitted.Add(1)
 	s.m.submitted.Inc()
-
-	select {
-	case <-j.done:
-		return j.resp, j.err
-	case <-ctx.Done():
-		// The lane observes the same context and will answer the job
-		// with the cancellation; reporting it here keeps latency honest.
-		return nil, errs.Classify(ctx.Err())
-	}
+	return nil
 }
 
 // lookup serves a request straight from the cache when possible. The
@@ -351,7 +319,6 @@ func (s *Service) lookup(in *layout.Instance, key store.Key, toCanon grid.Aug, s
 		s.store.Drop(key)
 		return nil, false
 	}
-	s.countHits(1)
 	s.m.submitted.Inc()
 	s.m.completed.Inc()
 	resp := s.buildResponse(in, tree, steiner, rec.UsedSteiner, rec.Proposed, start)
@@ -360,19 +327,15 @@ func (s *Service) lookup(in *layout.Instance, key store.Key, toCanon grid.Aug, s
 	return resp, true
 }
 
-// countHits counts n requests answered from the cache; on a persistent
-// store every hit is also served by the persistent tier.
-func (s *Service) countHits(n int64) {
-	s.m.cacheHits.Add(n)
-	if s.cfg.StoreDir != "" {
-		s.m.storeServed.Add(n)
-	}
-}
-
-// markHit flags a response answered from the cache.
+// markHit flags and counts a response answered from the cache; on a
+// persistent store every hit is also served by the persistent tier.
 func (s *Service) markHit(resp *Response) {
 	resp.CacheHit = true
 	resp.StoreHit = s.cfg.StoreDir != ""
+	s.m.cacheHits.Inc()
+	if resp.StoreHit {
+		s.m.storeServed.Inc()
+	}
 }
 
 // buildResponse shapes a routed tree into the wire response.
@@ -406,196 +369,141 @@ func (s *Service) buildResponse(in *layout.Instance, tree *route.Tree, steiner [
 	return resp
 }
 
-// run is one scheduler lane: it drains the queue in batches, groups each
-// drain by grid dimensions, and processes the groups. Lanes share the
-// queue, the cache and the router.
-func (s *Service) run() {
-	for {
-		if s.cfg.gate != nil {
-			<-s.cfg.gate
-		}
-		first, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch := s.drainBatch(first)
-		for _, j := range batch {
-			s.m.queueWait.Observe(time.Since(j.queued))
-		}
-		for _, group := range groupByDims(batch) {
-			s.processGroup(group)
-		}
+// miss answers an admitted request the cache could not. It waits for the
+// gate and a route slot, both under ctx, and holds the slot while it
+// answers. A request whose context ended while it waited spends no
+// inference. The store is re-checked first: a concurrent miss of the same
+// layout may have routed it since lookup, so at most GOMAXPROCS routes of
+// one layout run at once.
+func (s *Service) miss(ctx context.Context, in *layout.Instance, key store.Key, toCanon grid.Aug, start time.Time) (*Response, error) {
+	if err := s.takeSlot(ctx); err != nil {
+		return nil, err
 	}
-}
-
-// drainBatch adds to first up to MaxBatch-1 jobs already in the queue. It
-// never waits: an idle lane picks up whatever arrives next.
-func (s *Service) drainBatch(first *job) []*job {
-	batch := []*job{first}
-	for len(batch) < s.cfg.MaxBatch {
-		select {
-		case j, ok := <-s.queue:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, j)
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// groupByDims splits a drained batch into same-size groups, preserving
-// arrival order within and across groups.
-func groupByDims(batch []*job) [][]*job {
-	var order [][3]int
-	groups := map[[3]int][]*job{}
-	for _, j := range batch {
-		g := j.in.Graph
-		key := [3]int{g.H, g.V, g.M}
-		if _, seen := groups[key]; !seen {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], j)
-	}
-	out := make([][]*job, 0, len(order))
-	for _, key := range order {
-		out = append(out, groups[key])
-	}
-	return out
-}
-
-// rep is one distinct layout of a group: every job that asked for it
-// (possibly in different orientations).
-type rep struct {
-	jobs []*job
-}
-
-// processGroup serves one same-size group: it dedups the jobs by layout
-// and routes the distinct layouts in parallel, one inference on the shared
-// selector each.
-func (s *Service) processGroup(group []*job) {
-	batchSize := len(group)
-	s.m.observeBatch(batchSize)
-
-	// Dedup by canonical key, preserving arrival order.
-	var reps []*rep
-	byKey := map[store.Key]*rep{}
-	for _, j := range group {
-		if r, ok := byKey[j.key]; ok {
-			r.jobs = append(r.jobs, j)
-			continue
-		}
-		r := &rep{jobs: []*job{j}}
-		byKey[j.key] = r
-		reps = append(reps, r)
-	}
-	parallel.For(len(reps), func(_, lo, hi int) {
-		for _, r := range reps[lo:hi] {
-			s.serveRep(r, batchSize)
-		}
-	})
-}
-
-// serveRep routes one distinct layout and answers all of its jobs: a cache
-// re-check, the selector's proposal (with transient-failure retry and
-// panic containment), the OARMST construction, then the write into the
-// cache. Jobs whose record mapping fails (hash collision) are re-routed
-// individually.
-func (s *Service) serveRep(r *rep, batchSize int) {
-	lead := r.lead()
-	if lead == nil {
-		// Every requester gave up while queued: shed the work.
-		r.shed(s)
-		return
+	defer func() { <-s.slots }()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if s.store != nil {
-		if rec, ok := s.store.Get(lead.key); ok {
-			// The layout was routed between enqueue and drain: a cache
-			// hit for every job of the rep.
-			s.countHits(int64(len(r.jobs)))
-			for _, j := range s.answerFromRecord(r, rec, batchSize, true, false) {
-				s.routeFallback(j, batchSize)
-			}
-			return
+		if rec, ok := s.store.Get(key); ok {
+			return s.replay(ctx, in, toCanon, rec, start, 0, true, false)
 		}
 	}
-	// A panic (e.g. an injected one at selector.infer) fails the rep's
-	// jobs with ErrInternal; the lane, and the daemon, stay alive. An
-	// inference *error* that survives retries degrades the rep to the
-	// plain OARMST.
+	s.m.observeBatch(1)
+	rec, degraded, err := s.route(ctx, in, key, toCanon)
+	if err != nil {
+		return nil, err
+	}
+	return s.replay(ctx, in, toCanon, rec, start, 1, false, degraded)
+}
+
+// takeSlot waits for the gate and then for a route slot; the request
+// counts as waiting, in the queue's sense, until it holds the slot or
+// ctx ends.
+func (s *Service) takeSlot(ctx context.Context) error {
+	admitted := time.Now()
+	defer s.waiting.Add(-1)
+	if s.cfg.gate != nil {
+		select {
+		case <-s.cfg.gate:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	s.m.queueWait.Observe(time.Since(admitted))
+	return nil
+}
+
+// route routes the layout in the request's orientation: the selector's
+// proposal (with transient-failure retry and panic containment), the
+// OARMST construction, then the write into the cache. An inference error
+// that survives retries degrades the route to the plain OARMST; a panic
+// (e.g. an injected one at selector.infer) fails it with ErrInternal, and
+// the daemon stays alive.
+func (s *Service) route(ctx context.Context, in *layout.Instance, key store.Key, toCanon grid.Aug) (rec *store.Record, degraded bool, err error) {
 	var sps []grid.VertexID
 	var inf int
-	err := contained(func() error {
+	err = contained(func() error {
 		var perr error
-		sps, inf, perr = s.proposeWithRetry(lead.ctx, lead.in)
+		sps, inf, perr = s.proposeWithRetry(ctx, in)
 		return perr
 	})
-	degraded := false
 	switch {
 	case err == nil:
 		s.m.inferences.Add(int64(inf))
 	case errors.Is(err, errs.ErrInternal):
-		r.errOut(s, err)
-		return
+		return nil, false, err
 	default:
 		degraded = true
-	}
-
-	// The proposal is in lead's orientation, so construction stays on
-	// lead.in even if lead gave up meanwhile; it runs under the context of
-	// a requester still waiting.
-	live := r.lead()
-	if live == nil {
-		r.shed(s)
-		return
 	}
 	var res *core.Result
 	err = contained(func() error {
 		var cerr error
 		if degraded {
-			res, cerr = s.router.ConstructPlain(live.ctx, lead.in, 0)
+			res, cerr = s.router.ConstructPlain(ctx, in, 0)
 		} else {
-			res, cerr = s.router.Construct(live.ctx, lead.in, sps, inf, 0)
+			res, cerr = s.router.Construct(ctx, in, sps, inf, 0)
 		}
 		return cerr
 	})
 	if err != nil {
-		r.errOut(s, err)
-		return
+		return nil, false, err
 	}
-	rec := recordFromTree(lead.in, lead.key, lead.toCanon, res.Tree, res.SteinerPoints, res.UsedSteiner, res.Proposed)
+	rec = recordFromTree(in, key, toCanon, res.Tree, res.SteinerPoints, res.UsedSteiner, res.Proposed)
 	if !degraded && s.store != nil {
 		// Never cache a degraded result: a poisoned cache would keep
 		// answering without Steiner points after the fault clears.
 		s.store.Put(rec)
 	}
-	for _, j := range s.answerFromRecord(r, rec, batchSize, false, degraded) {
-		s.routeFallback(j, batchSize)
-	}
+	return rec, degraded, nil
 }
 
-// routeFallback answers one job with a direct (unbatched, uncached) route.
-func (s *Service) routeFallback(j *job, batchSize int) {
+// replay maps a canonical-space record into the request's own orientation
+// and answers it. A failed mapping (possible only under a hash collision)
+// routes the request directly instead, uncached.
+func (s *Service) replay(ctx context.Context, in *layout.Instance, toCanon grid.Aug, rec *store.Record, start time.Time, batchSize int, cacheHit, degraded bool) (*Response, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	tree, steiner, ok := treeFromRecord(in, toCanon, rec)
+	if !ok {
+		return s.routeFallback(ctx, in, start, batchSize)
+	}
+	resp := s.buildResponse(in, tree, steiner, rec.UsedSteiner, rec.Proposed, start)
+	resp.BatchSize = batchSize
+	if cacheHit {
+		s.markHit(resp)
+	}
+	if degraded {
+		resp.Degraded = true
+		s.m.degraded.Inc()
+	}
+	return resp, nil
+}
+
+// routeFallback answers one request with a direct (uncached) route.
+func (s *Service) routeFallback(ctx context.Context, in *layout.Instance, start time.Time, batchSize int) (*Response, error) {
 	var res *core.Result
 	err := contained(func() error {
 		var rerr error
-		res, rerr = s.router.Route(j.ctx, j.in)
+		res, rerr = s.router.Route(ctx, in)
 		return rerr
 	})
 	if err != nil {
-		s.finish(j, nil, err)
-		return
+		return nil, err
 	}
 	s.m.inferences.Add(int64(res.Inferences))
-	resp := s.buildResponse(j.in, res.Tree, res.SteinerPoints, res.UsedSteiner, res.Proposed, j.enqueued)
+	resp := s.buildResponse(in, res.Tree, res.SteinerPoints, res.UsedSteiner, res.Proposed, start)
 	resp.BatchSize = batchSize
 	if res.Degraded {
 		resp.Degraded = true
 		s.m.degraded.Inc()
 	}
-	s.finish(j, resp, nil)
+	return resp, nil
 }
 
 // proposeWithRetry runs the shared selector's proposal, retrying transient
@@ -621,9 +529,9 @@ func (s *Service) proposeWithRetry(ctx context.Context, in *layout.Instance) ([]
 }
 
 // contained runs fn with panic containment: a panic anywhere below (a
-// lane's inference and construction route through here) is
-// recovered into an error matching errs.ErrInternal, which the HTTP layer
-// maps to 500. The daemon never dies to a per-request panic.
+// route's inference and construction run through here) is recovered into
+// an error matching errs.ErrInternal, which the HTTP layer maps to 500.
+// The daemon never dies to a per-request panic.
 func contained(fn func() error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -631,74 +539,4 @@ func contained(fn func() error) (err error) {
 		}
 	}()
 	return fn()
-}
-
-// lead returns the first job of the rep whose context is still live, or
-// nil when all have been cancelled.
-func (r *rep) lead() *job {
-	for _, j := range r.jobs {
-		if j.ctx.Err() == nil {
-			return j
-		}
-	}
-	return nil
-}
-
-// errOut answers every job of the rep with the error.
-func (r *rep) errOut(s *Service, err error) {
-	for _, j := range r.jobs {
-		s.finish(j, nil, err)
-	}
-}
-
-// shed answers every job of the rep with its own context's error, once
-// all of them have given up.
-func (r *rep) shed(s *Service) {
-	for _, j := range r.jobs {
-		s.finish(j, nil, j.ctx.Err())
-	}
-}
-
-// answerFromRecord maps a canonical-space record into each requesting
-// job's own orientation and answers it. It returns the jobs whose mapping
-// failed (possible only under a hash collision); the caller re-routes
-// those via routeFallback.
-func (s *Service) answerFromRecord(r *rep, rec *store.Record, batchSize int, cacheHit, degraded bool) []*job {
-	var fallback []*job
-	for _, j := range r.jobs {
-		if err := j.ctx.Err(); err != nil {
-			s.finish(j, nil, err)
-			continue
-		}
-		tree, steiner, ok := treeFromRecord(j.in, j.toCanon, rec)
-		if !ok {
-			fallback = append(fallback, j)
-			continue
-		}
-		resp := s.buildResponse(j.in, tree, steiner, rec.UsedSteiner, rec.Proposed, j.enqueued)
-		resp.BatchSize = batchSize
-		if cacheHit {
-			s.markHit(resp)
-		}
-		if degraded {
-			resp.Degraded = true
-			s.m.degraded.Inc()
-		}
-		s.finish(j, resp, nil)
-	}
-	return fallback
-}
-
-// finish answers a job exactly once and records latency. Errors are
-// classified so deadline expiries surface as the module's ErrTimeout.
-func (s *Service) finish(j *job, resp *Response, err error) {
-	err = errs.Classify(err)
-	j.resp, j.err = resp, err
-	if err != nil {
-		s.m.failed.Inc()
-	} else {
-		s.m.completed.Inc()
-	}
-	s.m.latency.Observe(time.Since(j.enqueued))
-	close(j.done)
 }

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"oarsmt/internal/core"
+	"oarsmt/internal/errs"
 	"oarsmt/internal/grid"
 	"oarsmt/internal/layout"
 	"oarsmt/internal/nn"
@@ -46,13 +48,13 @@ func newTestService(t *testing.T, cfg Config) *Service {
 
 // TestParallelSubmitsMatchSerialCore is the service's central correctness
 // claim, run under the race detector by make check: N concurrent requests
-// over mixed layout sizes — with repeats, so batching, dedup and the cache
-// all engage — must each return exactly the tree cost the serial
+// over mixed layout sizes — with repeats, so the slot-time re-check and
+// the cache both engage — must each return exactly the tree cost the serial
 // internal/core router produces for that instance.
 func TestParallelSubmitsMatchSerialCore(t *testing.T) {
 	sel := tinySelector(t)
 
-	// Mixed sizes so one drain holds several same-size groups.
+	// Mixed sizes, routed concurrently.
 	sizes := [][3]int{{8, 8, 2}, {6, 10, 2}, {5, 5, 3}}
 	var ins []*layout.Instance
 	var want []float64
@@ -68,7 +70,7 @@ func TestParallelSubmitsMatchSerialCore(t *testing.T) {
 		want = append(want, res.Tree.Cost)
 	}
 
-	s := newTestService(t, Config{Selector: sel, QueueSize: 128, MaxBatch: 8})
+	s := newTestService(t, Config{Selector: sel, QueueSize: 128})
 
 	const repeats = 4
 	var wg sync.WaitGroup
@@ -109,17 +111,20 @@ func TestParallelSubmitsMatchSerialCore(t *testing.T) {
 	if st.Failed != 0 || st.Rejected != 0 {
 		t.Errorf("failed = %d rejected = %d, want 0", st.Failed, st.Rejected)
 	}
-	// Each distinct layout needs at most one inference (3 of the 36 repeat
-	// submissions may race past the cache, but dedup inside a batch and
-	// the cache bound the total well below one per request).
+	// A repeat that takes a route slot after its layout's first route
+	// stored the record replays it, so each distinct layout is routed at
+	// most once per slot, and the cache keeps the total well below one
+	// inference per request.
 	if st.Inferences >= int64(len(ins)*repeats) {
-		t.Errorf("inferences = %d for %d requests over %d layouts: batching/caching not engaging",
+		t.Errorf("inferences = %d for %d requests over %d layouts: caching not engaging",
 			st.Inferences, len(ins)*repeats, len(ins))
+	}
+	if maxInf := int64(len(ins) * runtime.GOMAXPROCS(0)); st.Inferences > maxInf {
+		t.Errorf("inferences = %d, want at most %d: one route per layout per slot", st.Inferences, maxInf)
 	}
 
 	// Everything is routed now, so one more submission of any layout is a
-	// deterministic cache hit (in-flight repeats above may instead have
-	// been deduped inside a batch, which is not a cache hit).
+	// deterministic cache hit.
 	resp, err := s.Submit(context.Background(), ins[0])
 	if err != nil {
 		t.Fatal(err)
@@ -129,6 +134,16 @@ func TestParallelSubmitsMatchSerialCore(t *testing.T) {
 	}
 	if resp.Cost != want[0] {
 		t.Errorf("cached cost %v, serial core cost %v", resp.Cost, want[0])
+	}
+}
+
+// TestNegativeCacheWithStoreDirRejected: a negative CacheSize disables
+// the one cache tier, which StoreDir would persist, so the pair is an
+// invalid configuration.
+func TestNegativeCacheWithStoreDirRejected(t *testing.T) {
+	_, err := NewService(Config{Selector: tinySelector(t), StoreDir: t.TempDir(), CacheSize: -1})
+	if !errors.Is(err, errs.ErrInvalidConfig) {
+		t.Fatalf("NewService returned %v, want ErrInvalidConfig", err)
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 type metrics struct {
 	reg *obs.Registry
 
-	submitted   *obs.Counter // requests accepted (queued or served from cache)
-	completed   *obs.Counter // jobs answered successfully
-	failed      *obs.Counter // jobs answered with an error
+	submitted   *obs.Counter // requests accepted (admitted or served from cache)
+	completed   *obs.Counter // requests answered successfully
+	failed      *obs.Counter // admitted requests answered with an error
 	rejected    *obs.Counter // submissions shed with ErrQueueFull (HTTP 429)
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
@@ -25,8 +25,8 @@ type metrics struct {
 	// validation: every hit when StoreDir is set (the store's own
 	// store.hits counts index lookups).
 	storeServed *obs.Counter
-	batches     *obs.Counter // same-size groups processed
-	batchedJobs *obs.Counter // jobs carried by those groups
+	batches     *obs.Counter // routes run
+	batchedJobs *obs.Counter // requests those routes answered
 	inferences  *obs.Counter // selector network inferences spent
 	degraded    *obs.Counter // responses answered by the plain-OARMST fallback
 	retries     *obs.Counter // transient-inference retries spent
@@ -34,9 +34,9 @@ type metrics struct {
 	// and refused (validation failure, degraded payload, draining).
 	replicated        *obs.Counter
 	replicateRejected *obs.Counter
-	maxBatch          *obs.Gauge // high-watermark of jobs per group
+	maxBatch          *obs.Gauge // high-watermark of requests per route
 	latency           *obs.Histogram
-	// queueWait is each queued job's wait from queue push to lane pickup:
+	// queueWait is each route's wait from admission to its route slot:
 	// the serving overhead a miss pays before its route starts.
 	queueWait *obs.Histogram
 }
@@ -85,7 +85,7 @@ func (s *Service) Stats() Stats {
 	m := s.m
 	st := Stats{
 		UptimeSeconds:     time.Since(s.start).Seconds(),
-		QueueDepth:        len(s.queue),
+		QueueDepth:        int(s.waiting.Load()),
 		QueueCapacity:     s.cfg.QueueSize,
 		Submitted:         m.submitted.Load(),
 		Completed:         m.completed.Load(),

@@ -46,9 +46,9 @@ func TestStoreWarmRestartBitIdentical(t *testing.T) {
 
 	// "Restart": a brand-new service over the same directory, with a
 	// selector rebuilt from the same seed — exactly what a daemon restart
-	// loading the same model file does. The memory cache is disabled so
-	// every answer must come off disk.
-	warm := newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir, CacheSize: -1})
+	// loading the same model file does. The fresh service holds only what
+	// it loaded from the segment files, so every hit comes off disk.
+	warm := newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir})
 	if st := warm.Stats(); st.StoreEntries != len(want) {
 		t.Fatalf("warm store loaded %d entries, want %d", st.StoreEntries, len(want))
 	}
@@ -128,7 +128,7 @@ func TestStoreHitAcrossOrientationsAfterRestart(t *testing.T) {
 	}
 	cold.Close()
 
-	warm := newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir, CacheSize: -1})
+	warm := newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir})
 	for _, a := range grid.AllAugmentations() {
 		resp, err := warm.Submit(context.Background(), augmentInstance(in, a))
 		if err != nil {
@@ -218,7 +218,7 @@ func TestMemoryAndDiskCacheAgree(t *testing.T) {
 	}
 	dir := t.TempDir()
 	mem := newTestService(t, Config{Selector: tinySelector(t), CacheSize: bound})
-	disk := newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir, StoreMaxEntries: bound})
+	disk := newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir, CacheSize: bound})
 
 	step := 0
 	submit := func(in *layout.Instance) {
@@ -262,7 +262,7 @@ func TestMemoryAndDiskCacheAgree(t *testing.T) {
 	// segment and key, so one touch of every layout restores the same
 	// recency order in both before any eviction.
 	disk.Close()
-	disk = newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir, StoreMaxEntries: bound})
+	disk = newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir, CacheSize: bound})
 	touch(0, bound)
 
 	for i := bound; i < layouts; i++ {

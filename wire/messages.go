@@ -43,7 +43,9 @@ type RouteResponse struct {
 	CacheHit bool `json:"cacheHit"`
 	// StoreHit reports that a cache hit came from a persistent cache (a
 	// worker started with -store-dir); CacheHit is also set.
-	StoreHit      bool    `json:"storeHit,omitempty"`
+	StoreHit bool `json:"storeHit,omitempty"`
+	// BatchSize is how many requests the route that answered this one
+	// answered: 1 for a fresh route, 0 for a cache hit.
 	BatchSize     int     `json:"batchSize"`
 	ElapsedMillis float64 `json:"elapsedMillis"`
 	// Edges is the full routed tree; populated only when requested.
@@ -116,6 +118,8 @@ type Stats struct {
 	Replicated        int64 `json:"replicated,omitempty"`
 	ReplicateRejected int64 `json:"replicateRejected,omitempty"`
 
+	// Batches counts the routes the worker ran and BatchedJobs the
+	// requests those routes answered, one each.
 	Batches      int64   `json:"batches"`
 	BatchedJobs  int64   `json:"batchedJobs"`
 	MeanBatch    float64 `json:"meanBatch"`
